@@ -164,6 +164,8 @@ def resolve_config(args) -> dict:
     resolved["filter"] = parse_filter_spec(resolved["filter"])
     if resolved["mode"] not in MODES:
         raise ValueError(f"unknown mode {resolved['mode']!r}")
+    if resolved["repeats"] < 1:
+        raise ValueError(f"repeats must be >= 1, not {resolved['repeats']}")
     if resolved["dataset"] is None:
         raise ValueError("no dataset given (config key 'dataset' or --dataset)")
     return resolved
@@ -368,18 +370,17 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_replay_verify(args) -> int:
-    store = TranscriptStore(args.transcripts)
-    digests = store.digests()
-    store.verify()
-    print(f"{len(digests)} transcripts verified in {args.transcripts}")
     if not getattr(args, "config", None):
+        checked = TranscriptStore(args.transcripts).verify()
+        print(f"{checked} transcripts verified in {args.transcripts}")
         return EXIT_OK
 
     resolved = resolve_config(args)
     resolved["gateway_mode"] = "replay"
     resolved["transcripts"] = str(args.transcripts)
     _, problems = _load_problems(resolved)
-    ctx = build_context(resolved)
+    ctx = build_context(resolved)  # opening a replay gateway verifies the store
+    print(f"{ctx.gateway.verified} transcripts verified in {args.transcripts}")
     missing: list[tuple[str, int, str]] = []
     for problem in problems:
         for repeat in range(resolved["repeats"]):

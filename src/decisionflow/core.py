@@ -154,14 +154,9 @@ NOT_MENTIONED = "not mentioned"
 
 @dataclass(frozen=True)
 class RelevanceCell:
-    """Verbal relevance of one attribute to one action, optionally grounded."""
+    """Verbal relevance of one attribute to one action."""
 
     verbal: str
-    value: float | None = None
-
-    def __post_init__(self):
-        if self.value is not None and not 0.0 <= self.value <= 1.0:
-            raise ValueError(f"grounded relevance {self.value} outside [0, 1]")
 
     @property
     def mentioned(self) -> bool:

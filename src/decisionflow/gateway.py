@@ -33,6 +33,8 @@ API_KEY_ENV = "DECISIONFLOW_API_KEY"
 BASE_URL_ENV = "DECISIONFLOW_BASE_URL"
 DEFAULT_MAX_TOKENS = 4096
 
+# every stage_tag a request may carry; each has a template of the same name,
+# except self_consistency, which reuses zero_shot
 STAGE_TAGS = (
     "extract_info",
     "summarize_attributes",
@@ -97,7 +99,6 @@ class Completion:
     prompt_tokens: int
     response_tokens: int
     latency: float
-    cache_hit: bool
     usage_approximate: bool = False
     attempts: int = 1
 
@@ -134,8 +135,13 @@ class TranscriptStore:
         path = self.path_for(digest)
         if not path.is_file():
             raise ReplayMissError(digest)
-        with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+        try:
+            with open(path, encoding="utf-8") as fh:
+                return json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as err:
+            raise TranscriptCorruptError(
+                f"transcript {path} is not valid JSON: {err}"
+            ) from err
 
     def write(self, digest: str, entry: dict) -> None:
         """Atomic write: temp file in the destination directory, then rename."""
@@ -284,7 +290,6 @@ class GatewayConfig:
     backoff: float = 0.5
     max_in_flight: int = 4
     timeout: float = 60.0
-    verify_on_open: bool = True
 
     def __post_init__(self):
         if self.mode not in ("replay", "record"):
@@ -316,8 +321,8 @@ class LlmGateway:
         self.cache_hits = 0
         self._lock = threading.Lock()
         self._gate = threading.Semaphore(config.max_in_flight)
-        if config.mode == "replay" and config.verify_on_open:
-            self.store.verify()
+        # entries checked when a replay gateway opens, None in record mode
+        self.verified = self.store.verify() if config.mode == "replay" else None
 
     def complete(self, request: CompletionRequest) -> Completion:
         if request.max_tokens > self.config.max_tokens_ceiling:
@@ -330,7 +335,7 @@ class LlmGateway:
             entry = self.store.read(digest)
             with self._lock:
                 self.cache_hits += 1
-            return _completion_from_entry(entry, cache_hit=True)
+            return _completion_from_entry(entry)
         if self.config.mode == "replay":
             raise ReplayMissError(digest)
 
@@ -373,7 +378,7 @@ class LlmGateway:
             "recorded_at": datetime.now(timezone.utc).isoformat(),
         }
         self.store.write(digest, entry)
-        return _completion_from_entry(entry, cache_hit=False)
+        return _completion_from_entry(entry)
 
     def _call_with_retries(self, request: CompletionRequest) -> tuple[BackendReply, int]:
         last: TransportError | None = None
@@ -399,14 +404,13 @@ class LlmGateway:
         return self.live_calls
 
 
-def _completion_from_entry(entry: dict, *, cache_hit: bool) -> Completion:
+def _completion_from_entry(entry: dict) -> Completion:
     usage = entry["usage"]
     return Completion(
         text=entry["response"]["text"],
         prompt_tokens=usage["prompt_tokens"],
         response_tokens=usage["response_tokens"],
         latency=entry["latency"],
-        cache_hit=cache_hit,
         usage_approximate=usage.get("approximate", False),
         attempts=entry.get("attempts", 1),
     )

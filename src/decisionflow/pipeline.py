@@ -39,25 +39,22 @@ from .stages import (
 
 log = logging.getLogger(__name__)
 
-MODES = (
-    "decisionflow",
-    "zero_shot",
-    "cot",
-    "cot_with_tools",
-    "self_consistency",
-    "joint",
-    "ablate_no_filter",
-    "ablate_no_scoring",
-    "ablate_both",
-)
+# name -> (structured?, runner options). Structured modes run the four-step
+# pipeline with these overrides; the others prompt for the answer directly.
+MODES = {
+    "decisionflow": (True, {}),
+    "zero_shot": (False, {"template": "zero_shot"}),
+    "cot": (False, {"template": "cot", "keep_reasoning": True}),
+    "cot_with_tools": (True, {"with_rationale": False}),
+    "self_consistency": (False, {"template": "zero_shot", "sampled": True}),
+    "joint": (False, {"template": "joint", "keep_reasoning": True}),
+    "ablate_no_filter": (True, {"policy": FilterPolicy.none()}),
+    "ablate_no_scoring": (True, {"all_ones": True}),
+    "ablate_both": (True, {"policy": FilterPolicy.none(), "all_ones": True}),
+}
 
-STRUCTURED_MODES = (
-    "decisionflow",
-    "cot_with_tools",
-    "ablate_no_filter",
-    "ablate_no_scoring",
-    "ablate_both",
-)
+STRUCTURED_MODES = tuple(name for name, (structured, _) in MODES.items()
+                         if structured)
 
 NO_DIRECTIVE = "Choose the action that best serves the stated goal."
 
@@ -75,7 +72,6 @@ class PipelineConfig:
     self_consistency_k: int = 3
     max_tokens: int = 4096
     max_concurrency: int = 1
-    index_base: int = 1  # how choices are numbered inside prompts
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -86,8 +82,6 @@ class PipelineConfig:
             raise ValueError("self_consistency_k must be a positive odd number")
         if self.temperature_deterministic < 0 or self.temperature_sampling < 0:
             raise ValueError("temperatures must be >= 0")
-        if self.index_base not in (0, 1):
-            raise ValueError("index_base must be 0 or 1")
         if self.max_concurrency < 1:
             raise ValueError("max_concurrency must be >= 1")
 
@@ -103,35 +97,42 @@ def _event(stage, kind, name, payload):
     return {"stage": stage, "kind": kind, "name": name, "payload": payload}
 
 
-def _completion_event(stage, name, request, completion, digest):
-    return _event(stage, "completion", name, {
+def _request(ctx, stage_tag, prompt, *, model=None, temperature=None,
+             attempt=0) -> CompletionRequest:
+    """A request at the configured max_tokens; the model defaults to the
+    reasoning model and the temperature to the deterministic one."""
+    cfg = ctx.config
+    return CompletionRequest(
+        model=cfg.reasoning_model if model is None else model,
+        prompt=prompt,
+        temperature=(cfg.temperature_deterministic if temperature is None
+                     else temperature),
+        max_tokens=cfg.max_tokens,
+        stage_tag=stage_tag,
+        attempt=attempt,
+    )
+
+
+def _record_call(trace, stage, name, request, completion):
+    """Append the prompt and completion events of one gateway call."""
+    trace.append(_event(stage, "prompt", name, request.prompt))
+    trace.append(_event(stage, "completion", name, {
         "model": request.model,
         "stage_tag": request.stage_tag,
         "attempt": request.attempt,
-        "digest": digest,
+        "digest": request_digest(request),
         "text": completion.text,
         "prompt_tokens": completion.prompt_tokens,
         "response_tokens": completion.response_tokens,
         "usage_approximate": completion.usage_approximate,
         "latency": completion.latency,
         "attempts": completion.attempts,
-    })
+    }))
 
 
-def _call(ctx, trace, *, stage, name, stage_tag, model, prompt, temperature,
-          attempt=0):
-    request = CompletionRequest(
-        model=model,
-        prompt=prompt,
-        temperature=temperature,
-        max_tokens=ctx.config.max_tokens,
-        stage_tag=stage_tag,
-        attempt=attempt,
-    )
+def _call(ctx, trace, stage, name, request):
     completion = ctx.gateway.complete(request)
-    trace.append(_event(stage, "prompt", name, prompt))
-    trace.append(_completion_event(stage, name, request, completion,
-                                   request_digest(request)))
+    _record_call(trace, stage, name, request, completion)
     return completion
 
 
@@ -139,9 +140,9 @@ def _bullets(items) -> str:
     return "\n".join(f"- {item}" for item in items) if items else "(none)"
 
 
-def _choices_block(problem: DecisionProblem, base: int) -> str:
+def _choices_block(problem: DecisionProblem) -> str:
     return "\n".join(
-        f"({i + base}) {label}" for i, label in enumerate(problem.actions)
+        f"({i + 1}) {label}" for i, label in enumerate(problem.actions)
     )
 
 
@@ -188,23 +189,56 @@ class StructuredArtifacts:
     """Intermediates of a structured run, reusable by post-hoc sweeps."""
 
     problem: DecisionProblem
-    attributes: tuple[str, ...]
-    verbal_cells: tuple[tuple[str, ...], ...]
     weights: WeightMatrix
     grounded: tuple[tuple[float, ...], ...]
-    policy: FilterPolicy
 
 
-def _attach_trace(err, trace):
-    err.trace = tuple(trace)
-    return err
+def run_problem(problem: DecisionProblem, ctx: ExperimentContext,
+                repeat: int = 0) -> DecisionOutcome:
+    """Run one problem in the configured mode.
+
+    The trace opens with the S0 run note; a stage failure carries the partial
+    trace on its ``trace`` attribute.
+    """
+    mode = ctx.config.mode
+    structured, options = MODES[mode]
+    trace: list[dict] = [
+        _event("S0", "note", "run", {
+            "problem_id": problem.problem_id,
+            "mode": mode,
+            "repeat": repeat,
+            "n_actions": problem.n_actions,
+        })
+    ]
+    try:
+        if structured:
+            outcome, _ = run_structured(problem, ctx, trace, **options)
+            return outcome
+        return _run_direct(problem, ctx, trace, repeat, **options)
+    except (StageOutputError, InfeasibleError) as err:
+        err.trace = tuple(trace)
+        raise
 
 
-def run_structured(problem: DecisionProblem, ctx: ExperimentContext, *,
-                   policy: FilterPolicy | None = None, all_ones: bool = False,
-                   with_rationale: bool = True, mode_name: str = "decisionflow",
-                   repeat: int = 0) -> tuple[DecisionOutcome, StructuredArtifacts]:
-    """The four-step structured pipeline; returns outcome plus artifacts.
+def _solve(grounded, weights: WeightMatrix, policy: FilterPolicy,
+           filter_target: str, constraints):
+    """Symbolic selection with the policy applied to the weights or to the
+    grounded relevance; returns the solution and its surviving cell count."""
+    if filter_target == "weights":
+        sol = solve_symbolic(grounded, weights, policy, constraints)
+        return sol, sol.sparsified.support_size()
+    grounded_sparse = sparsify_weights(WeightMatrix(grounded), policy)
+    sol = solve_symbolic(grounded_sparse.entries, weights, FilterPolicy.none(),
+                         constraints)
+    return sol, grounded_sparse.support_size()
+
+
+def run_structured(problem: DecisionProblem, ctx: ExperimentContext,
+                   trace: list[dict], *, policy: FilterPolicy | None = None,
+                   all_ones: bool = False, with_rationale: bool = True,
+                   ) -> tuple[DecisionOutcome, StructuredArtifacts]:
+    """The four-step structured pipeline, appending its events to ``trace``;
+    returns outcome plus artifacts.
 
     policy/all_ones implement the ablations; with_rationale=False skips the
     final explanation call (tool-assisted reasoning mode). Deterministic
@@ -212,52 +246,31 @@ def run_structured(problem: DecisionProblem, ctx: ExperimentContext, *,
     """
     cfg = ctx.config
     policy = policy if policy is not None else cfg.filter_policy
-    trace: list[dict] = [
-        _event("S0", "note", "run", {
-            "problem_id": problem.problem_id,
-            "mode": mode_name,
-            "repeat": repeat,
-            "n_actions": problem.n_actions,
-        })
-    ]
-    try:
-        return _run_structured_inner(
-            problem, ctx, policy, all_ones, with_rationale, trace
-        )
-    except (StageOutputError, InfeasibleError) as err:
-        raise _attach_trace(err, trace)
-
-
-def _run_structured_inner(problem, ctx, policy, all_ones, with_rationale, trace):
-    cfg = ctx.config
-    temp = cfg.temperature_deterministic
     bias = _bias_text(problem)
     constraints_text = _constraints_block(problem)
 
     # --- S1: extract, then summarize into an attribute table (info model) ---
-    completion = _call(
-        ctx, trace, stage="S1", name="extract_info", stage_tag="extract_info",
-        model=cfg.info_model, temperature=temp,
+    completion = _call(ctx, trace, "S1", "extract_info", _request(
+        ctx, "extract_info", model=cfg.info_model,
         prompt=render_stage_prompt(ctx.templates["extract_info"], {
             "scenario": problem.scenario,
             "actions": _bullets(problem.actions),
         }),
-    )
+    ))
     statements = parse_extraction(completion.text, problem.actions)
     trace.append(_event("S1", "parsed", "statements", statements))
     if not statements:
         trace.append(_event("S1", "note", "degenerate_extraction",
                             "no statements extracted"))
 
-    completion = _call(
-        ctx, trace, stage="S1", name="summarize_attributes",
-        stage_tag="summarize_attributes", model=cfg.info_model, temperature=temp,
+    completion = _call(ctx, trace, "S1", "summarize_attributes", _request(
+        ctx, "summarize_attributes", model=cfg.info_model,
         prompt=render_stage_prompt(ctx.templates["summarize_attributes"], {
             "actions": _bullets(problem.actions),
             "statements": _bullets(statements),
             "bias": bias,
         }),
-    )
+    ))
     table = parse_attribute_table(completion.text, problem.actions)
     n, m = table.shape
     trace.append(_event("S1", "parsed", "attribute_table", {
@@ -274,24 +287,20 @@ def _run_structured_inner(problem, ctx, policy, all_ones, with_rationale, trace)
         weights = _weigh_cells(problem, ctx, table, trace, bias, constraints_text)
     trace.append(_event("S2", "matrix", "weights", _grid_payload(weights.entries)))
 
-    if cfg.filter_target == "weights":
-        sparsified = sparsify_weights(weights, policy)
-        surviving = {
-            (i, j)
-            for i in range(n) for j in range(m)
-            if sparsified.entries[i][j] != 0.0
-        }
-        coefficients = sparsified.entries
-    else:
-        # policy applies to grounded relevance later; every cell is grounded
-        sparsified = weights
-        surviving = {(i, j) for i in range(n) for j in range(m)}
-        coefficients = weights.entries
+    # "relevance" applies the policy to the grounded scores in S4, so every
+    # cell is grounded; "weights" grounds only the cells the policy keeps
+    by_weights = cfg.filter_target == "weights"
+    sparsified = sparsify_weights(weights, policy) if by_weights else weights
+    surviving = {
+        (i, j)
+        for i in range(n) for j in range(m)
+        if not by_weights or sparsified.entries[i][j] != 0.0
+    }
     trace.append(_event("S2", "matrix", "weights_sparsified",
                         _grid_payload(sparsified.entries)))
 
     # --- S3: render the objective and ground surviving cells numerically ---
-    objective = render_objective(problem, table.attributes, coefficients)
+    objective = render_objective(problem, table.attributes, sparsified.entries)
     trace.append(_event("S3", "objective", "objective", objective))
 
     cells_payload = {
@@ -310,10 +319,8 @@ def _run_structured_inner(problem, ctx, policy, all_ones, with_rationale, trace)
         trace.append(_event("S3", "note", "grounding_skipped",
                             "no surviving cells to score"))
     else:
-        completion = _call(
-            ctx, trace, stage="S3", name="ground_and_decide",
-            stage_tag="ground_and_decide", model=cfg.reasoning_model,
-            temperature=temp,
+        completion = _call(ctx, trace, "S3", "ground_and_decide", _request(
+            ctx, "ground_and_decide",
             prompt=render_stage_prompt(ctx.templates["ground_and_decide"], {
                 "bias": bias,
                 "actions": _bullets(problem.actions),
@@ -323,18 +330,14 @@ def _run_structured_inner(problem, ctx, policy, all_ones, with_rationale, trace)
                 "constraints": constraints_text,
                 "cells": json.dumps(cells_payload, indent=2, ensure_ascii=False),
             }),
-        )
+        ))
         grounded = parse_grounding(completion.text, table, surviving)
     trace.append(_event("S3", "matrix", "relevance_grounded",
                         _grid_payload(grounded)))
 
     # --- S4: symbolic selection, then the rationale (reasoning model) ---
-    if cfg.filter_target == "weights":
-        sol = solve_symbolic(grounded, weights, policy, problem.constraints)
-    else:
-        grounded_sparse = sparsify_weights(WeightMatrix(grounded), policy)
-        sol = solve_symbolic(grounded_sparse.entries, weights,
-                             FilterPolicy.none(), problem.constraints)
+    sol, _ = _solve(grounded, weights, policy, cfg.filter_target,
+                    problem.constraints)
     trace.append(_event("S4", "matrix", "relevance_filtered",
                         _grid_payload(sol.filtered.entries)))
     trace.append(_event("S4", "note", "feasible", sorted(sol.feasible)))
@@ -353,15 +356,7 @@ def _run_structured_inner(problem, ctx, policy, all_ones, with_rationale, trace)
         answer=sol.answer, utilities=sol.utilities, rationale=rationale,
         trace=tuple(trace),
     )
-    artifacts = StructuredArtifacts(
-        problem=problem,
-        attributes=table.attributes,
-        verbal_cells=table.verbal_grid(),
-        weights=weights,
-        grounded=grounded,
-        policy=policy,
-    )
-    return outcome, artifacts
+    return outcome, StructuredArtifacts(problem, weights, grounded)
 
 
 def _grid_payload(entries):
@@ -377,27 +372,17 @@ def _weigh_cells(problem, ctx, table, trace, bias, constraints_text) -> WeightMa
     cfg = ctx.config
     n, m = table.shape
     cells = [(i, j) for i in range(n) for j in range(m)]
-
-    def prompt_for(i, j):
-        return render_stage_prompt(ctx.templates["weigh"], {
-            "bias": bias,
-            "constraints": constraints_text,
-            "action": problem.actions[i],
-            "attribute": table.attributes[j],
-            "verbal": table.cells[i][j].verbal,
-        })
-
-    def request_for(i, j):
-        return CompletionRequest(
-            model=cfg.reasoning_model,
-            prompt=prompt_for(i, j),
-            temperature=cfg.temperature_deterministic,
-            max_tokens=cfg.max_tokens,
-            stage_tag="weigh",
-            attempt=0,
-        )
-
-    requests = {cell: request_for(*cell) for cell in cells}
+    requests = {
+        (i, j): _request(ctx, "weigh", render_stage_prompt(
+            ctx.templates["weigh"], {
+                "bias": bias,
+                "constraints": constraints_text,
+                "action": problem.actions[i],
+                "attribute": table.attributes[j],
+                "verbal": table.cells[i][j].verbal,
+            }))
+        for (i, j) in cells
+    }
     if cfg.max_concurrency > 1 and len(cells) > 1:
         with ThreadPoolExecutor(max_workers=cfg.max_concurrency) as pool:
             completions = dict(
@@ -409,12 +394,9 @@ def _weigh_cells(problem, ctx, table, trace, bias, constraints_text) -> WeightMa
 
     rows = [[0.0] * m for _ in range(n)]
     for (i, j) in cells:
-        request = requests[(i, j)]
         completion = completions[(i, j)]
         name = f"weigh[{i},{j}]"
-        trace.append(_event("S2", "prompt", name, request.prompt))
-        trace.append(_completion_event("S2", name, request, completion,
-                                       request_digest(request)))
+        _record_call(trace, "S2", name, requests[(i, j)], completion)
         explanation, weight = parse_weight(completion.text)
         trace.append(_event("S2", "parsed", name,
                             {"explanation": explanation, "weight": weight}))
@@ -423,7 +405,6 @@ def _weigh_cells(problem, ctx, table, trace, bias, constraints_text) -> WeightMa
 
 
 def _rationale_call(problem, ctx, table, sol, trace, bias) -> str:
-    cfg = ctx.config
     utilities_text = "; ".join(
         f"{label}: {u:.6g}" for label, u in zip(problem.actions, sol.utilities)
     )
@@ -448,9 +429,8 @@ def _rationale_call(problem, ctx, table, sol, trace, bias) -> str:
         or (c.kind == "cardinality" and c.limit == 0 and set(c.over) & excluded)
     ]) if excluded else "(none)"
 
-    completion = _call(
-        ctx, trace, stage="S4", name="rationale", stage_tag="rationale",
-        model=cfg.reasoning_model, temperature=cfg.temperature_deterministic,
+    completion = _call(ctx, trace, "S4", "rationale", _request(
+        ctx, "rationale",
         prompt=render_stage_prompt(ctx.templates["rationale"], {
             "scenario": problem.scenario,
             "actions": _bullets(problem.actions),
@@ -461,60 +441,42 @@ def _rationale_call(problem, ctx, table, sol, trace, bias) -> str:
             "influential": influential,
             "active_constraints": active,
         }),
-    )
+    ))
     rationale = completion.text.strip()
     trace.append(_event("S4", "parsed", "rationale", rationale))
     return rationale
 
 
-def run_decisionflow(problem: DecisionProblem, ctx: ExperimentContext,
-                     repeat: int = 0) -> DecisionOutcome:
-    outcome, _ = run_structured(problem, ctx, repeat=repeat)
-    return outcome
+def _run_direct(problem: DecisionProblem, ctx: ExperimentContext,
+                trace: list[dict], repeat: int, *, template: str,
+                keep_reasoning: bool = False,
+                sampled: bool = False) -> DecisionOutcome:
+    """Direct prompting over the numbered choices, tagged with the mode name.
 
-
-def run_baseline(strategy: str, problem: DecisionProblem, ctx: ExperimentContext,
-                 repeat: int = 0) -> DecisionOutcome:
-    """Direct-prompting baselines: zero_shot, cot, self_consistency."""
-    if strategy not in ("zero_shot", "cot", "self_consistency"):
-        raise ValueError(f"unknown baseline strategy {strategy!r}")
+    One completion answers (zero_shot, cot, joint), or with sampled=True k
+    votes at the sampling temperature do (self_consistency).
+    """
     cfg = ctx.config
-    trace: list[dict] = [
-        _event("S0", "note", "run", {
-            "problem_id": problem.problem_id,
-            "mode": strategy,
-            "repeat": repeat,
-            "n_actions": problem.n_actions,
-        })
-    ]
-    template = ctx.templates["zero_shot" if strategy == "self_consistency" else strategy]
-    prompt = render_stage_prompt(template, {
+    prompt = render_stage_prompt(ctx.templates[template], {
         "scenario": problem.scenario,
         "bias": _bias_text(problem),
-        "choices": _choices_block(problem, cfg.index_base),
+        "choices": _choices_block(problem),
     })
-    try:
-        if strategy == "self_consistency":
-            return _self_consistency(problem, ctx, prompt, trace, repeat)
-        completion = _call(
-            ctx, trace, stage="S4", name=strategy, stage_tag=strategy,
-            model=cfg.reasoning_model, temperature=cfg.temperature_deterministic,
-            prompt=prompt,
-        )
-        reasoning, answer = parse_decision(
-            completion.text, problem.n_actions, cfg.index_base
-        )
-        trace.append(_event("S4", "parsed", "answer", answer))
-        utilities = tuple(
-            1.0 if i == answer else 0.0 for i in range(problem.n_actions)
-        )
-        return DecisionOutcome(
-            answer=answer, utilities=utilities,
-            rationale=reasoning if strategy == "cot" else "",
-            trace=tuple(trace),
-        )
-    except (StageOutputError, InfeasibleError) as err:
-        raise _attach_trace(err, trace)
+    if sampled:
+        return _self_consistency(problem, ctx, prompt, trace, repeat)
+    completion = _call(ctx, trace, "S4", cfg.mode,
+                       _request(ctx, cfg.mode, prompt))
+    reasoning, answer = parse_decision(completion.text, problem.n_actions,
+                                       index_base=1)
+    trace.append(_event("S4", "parsed", "answer", answer))
+    utilities = tuple(
+        1.0 if i == answer else 0.0 for i in range(problem.n_actions)
+    )
+    return DecisionOutcome(
+        answer=answer, utilities=utilities,
+        rationale=reasoning if keep_reasoning else "",
+        trace=tuple(trace),
+    )
 
 
 def _self_consistency(problem, ctx, prompt, trace, repeat) -> DecisionOutcome:
@@ -525,16 +487,13 @@ def _self_consistency(problem, ctx, prompt, trace, repeat) -> DecisionOutcome:
     votes = [0.0] * problem.n_actions
     abstained = 0
     for s in range(k):
-        attempt = repeat * k + s
-        completion = _call(
-            ctx, trace, stage="S4", name=f"sample[{s}]",
-            stage_tag="self_consistency", model=cfg.reasoning_model,
-            temperature=cfg.temperature_sampling, prompt=prompt, attempt=attempt,
-        )
+        completion = _call(ctx, trace, "S4", f"sample[{s}]", _request(
+            ctx, "self_consistency", prompt,
+            temperature=cfg.temperature_sampling, attempt=repeat * k + s,
+        ))
         try:
-            _, answer = parse_decision(
-                completion.text, problem.n_actions, cfg.index_base
-            )
+            _, answer = parse_decision(completion.text, problem.n_actions,
+                                       index_base=1)
         except StageOutputError as err:
             abstained += 1
             trace.append(_event("S4", "note", f"sample[{s}]_abstained",
@@ -550,73 +509,6 @@ def _self_consistency(problem, ctx, prompt, trace, repeat) -> DecisionOutcome:
     return DecisionOutcome(
         answer=answer, utilities=tuple(votes), rationale="", trace=tuple(trace)
     )
-
-
-def run_joint(problem: DecisionProblem, ctx: ExperimentContext,
-              repeat: int = 0) -> DecisionOutcome:
-    """Single-prompt variant: all four steps requested in one completion."""
-    cfg = ctx.config
-    trace: list[dict] = [
-        _event("S0", "note", "run", {
-            "problem_id": problem.problem_id,
-            "mode": "joint",
-            "repeat": repeat,
-            "n_actions": problem.n_actions,
-        })
-    ]
-    try:
-        completion = _call(
-            ctx, trace, stage="S4", name="joint", stage_tag="joint",
-            model=cfg.reasoning_model, temperature=cfg.temperature_deterministic,
-            prompt=render_stage_prompt(ctx.templates["joint"], {
-                "scenario": problem.scenario,
-                "bias": _bias_text(problem),
-                "choices": _choices_block(problem, cfg.index_base),
-            }),
-        )
-        reasoning, answer = parse_decision(
-            completion.text, problem.n_actions, cfg.index_base
-        )
-    except (StageOutputError, InfeasibleError) as err:
-        raise _attach_trace(err, trace)
-    trace.append(_event("S4", "parsed", "answer", answer))
-    utilities = tuple(1.0 if i == answer else 0.0 for i in range(problem.n_actions))
-    return DecisionOutcome(
-        answer=answer, utilities=utilities, rationale=reasoning, trace=tuple(trace)
-    )
-
-
-def run_ablation(problem: DecisionProblem, ctx: ExperimentContext, which: str,
-                 repeat: int = 0) -> DecisionOutcome:
-    """Structured run with the filter and/or scoring module removed."""
-    if which == "ablate_no_filter":
-        outcome, _ = run_structured(problem, ctx, policy=FilterPolicy.none(),
-                                    mode_name=which, repeat=repeat)
-    elif which == "ablate_no_scoring":
-        outcome, _ = run_structured(problem, ctx, all_ones=True,
-                                    mode_name=which, repeat=repeat)
-    elif which == "ablate_both":
-        outcome, _ = run_structured(problem, ctx, policy=FilterPolicy.none(),
-                                    all_ones=True, mode_name=which, repeat=repeat)
-    else:
-        raise ValueError(f"unknown ablation {which!r}")
-    return outcome
-
-
-def run_problem(problem: DecisionProblem, ctx: ExperimentContext,
-                repeat: int = 0) -> DecisionOutcome:
-    mode = ctx.config.mode
-    if mode == "decisionflow":
-        return run_decisionflow(problem, ctx, repeat)
-    if mode == "cot_with_tools":
-        outcome, _ = run_structured(problem, ctx, with_rationale=False,
-                                    mode_name=mode, repeat=repeat)
-        return outcome
-    if mode in ("zero_shot", "cot", "self_consistency"):
-        return run_baseline(mode, problem, ctx, repeat)
-    if mode == "joint":
-        return run_joint(problem, ctx, repeat)
-    return run_ablation(problem, ctx, mode, repeat)
 
 
 @dataclass(frozen=True)
@@ -730,13 +622,14 @@ class SweepSetting:
 
 def kernel_sweep(problems, ctx: ExperimentContext,
                  policies) -> list[SweepSetting]:
-    """Replay each problem once, then re-run only the symbolic kernel per
-    policy. No policy in the grid triggers any new LLM call: filtering is
-    post-hoc on the recorded weights and grounded relevance."""
-    artifacts: list[StructuredArtifacts] = []
-    for problem in problems:
-        _, art = run_structured(problem, ctx)
-        artifacts.append(art)
+    """Replay each problem once in the configured structured mode (one of
+    STRUCTURED_MODES), then re-run
+    only the symbolic kernel per policy. No policy in the grid triggers any
+    new LLM call: filtering is post-hoc on the recorded weights and grounded
+    relevance."""
+    _, options = MODES[ctx.config.mode]
+    artifacts = [run_structured(problem, ctx, [], **options)[1]
+                 for problem in problems]
 
     settings = []
     for policy in policies:
@@ -744,15 +637,11 @@ def kernel_sweep(problems, ctx: ExperimentContext,
         utilities = {}
         surviving = 0
         for art in artifacts:
-            if ctx.config.filter_target == "weights":
-                sol = solve_symbolic(art.grounded, art.weights, policy,
-                                     art.problem.constraints)
-                surviving += sparsify_weights(art.weights, policy).support_size()
-            else:
-                grounded_sparse = sparsify_weights(WeightMatrix(art.grounded), policy)
-                sol = solve_symbolic(grounded_sparse.entries, art.weights,
-                                     FilterPolicy.none(), art.problem.constraints)
-                surviving += grounded_sparse.support_size()
+            sol, support = _solve(
+                art.grounded, art.weights, policy, ctx.config.filter_target,
+                art.problem.constraints,
+            )
+            surviving += support
             answers[art.problem.problem_id] = sol.answer
             utilities[art.problem.problem_id] = sol.utilities
         settings.append(SweepSetting(

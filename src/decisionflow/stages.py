@@ -28,32 +28,12 @@ from .errors import (
     SchemaError,
     TemplateError,
 )
+from .gateway import STAGE_TAGS
 
 log = logging.getLogger(__name__)
 
-STAGES = (
-    "extract_info",
-    "summarize_attributes",
-    "weigh",
-    "ground_and_decide",
-    "rationale",
-    "zero_shot",
-    "cot",
-    "joint",
-)
-
-# every schema identifier maps to exactly one parser ("freeform" to none:
-# rationale text is used verbatim)
-SCHEMA_BY_STAGE = {
-    "extract_info": "information",
-    "summarize_attributes": "attribute_table",
-    "weigh": "weight",
-    "ground_and_decide": "scores",
-    "rationale": "freeform",
-    "zero_shot": "decision",
-    "cot": "decision",
-    "joint": "decision",
-}
+# one template per stage tag; self_consistency samples the zero_shot prompt
+STAGES = tuple(tag for tag in STAGE_TAGS if tag != "self_consistency")
 
 PLACEHOLDER_RE = re.compile(r"\{([a-z][a-z0-9_]*)\}")
 FENCE_RE = re.compile(r"```(?:json)?\s*(.*?)```", re.DOTALL)
@@ -65,7 +45,6 @@ BARE_KEY_RE = re.compile(r"([{,]\s*)([A-Za-z_][A-Za-z0-9_]*)(\s*:)")
 class StageTemplate:
     stage: str
     body: str
-    expected_schema: str
 
     def placeholders(self) -> set[str]:
         return set(PLACEHOLDER_RE.findall(self.body))
@@ -88,9 +67,7 @@ def load_templates(directory: str | Path | None = None) -> dict[str, StageTempla
             if not path.is_file():
                 raise TemplateError(f"no template file for stage '{stage}' at {path}")
             body = path.read_text(encoding="utf-8")
-        templates[stage] = StageTemplate(
-            stage=stage, body=body, expected_schema=SCHEMA_BY_STAGE[stage]
-        )
+        templates[stage] = StageTemplate(stage=stage, body=body)
     return templates
 
 

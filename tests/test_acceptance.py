@@ -54,7 +54,7 @@ from decisionflow.pipeline import (
     PipelineConfig,
     execute_run,
     kernel_sweep,
-    run_decisionflow,
+    run_problem,
 )
 from decisionflow.stages import load_templates
 from parser_corpus import CASES, run_case
@@ -113,7 +113,7 @@ def test_case_study_replay_reproduces_utilities_and_choice():
     ctx = _replay_context()
     problem = next(p for p in _mta_problems()
                    if p.problem_id == "mta-utilitarianism-high")
-    outcome = run_decisionflow(problem, ctx)
+    outcome = run_problem(problem, ctx)
     assert outcome.utilities[0] == pytest.approx(0.625, abs=UTILITY_TOLERANCE)
     assert outcome.utilities[1] == pytest.approx(1.62, abs=UTILITY_TOLERANCE)
     assert problem.actions[outcome.answer] == "Treat the bomber"
@@ -393,7 +393,7 @@ def test_live_backend_smoke_completes_all_stages(tmp_path):
         mode="record", transcript_dir=tmp_path / "live", base_url=base_url))
     ctx = ExperimentContext(config, gateway, load_templates())
     problem = _mta_problems()[0]
-    outcome = run_decisionflow(problem, ctx)
+    outcome = run_problem(problem, ctx)
     assert outcome.answer in range(problem.n_actions)
     stages = {e["stage"] for e in outcome.trace if e["kind"] == "completion"}
     assert {"S1", "S2", "S3", "S4"} <= stages

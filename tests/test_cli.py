@@ -10,7 +10,12 @@ import pytest
 from conftest import CONFIG_DIR, CORPUS_DIR, DATASET_DIR, REPO_ROOT
 from decisionflow import cli
 from decisionflow.datasets import load_dataset, load_predictions, write_records
-from decisionflow.gateway import CompletionRequest, GatewayConfig, LlmGateway
+from decisionflow.gateway import (
+    CompletionRequest,
+    GatewayConfig,
+    LlmGateway,
+    TranscriptStore,
+)
 from decisionflow.metrics import evaluate
 from decisionflow.testing import ScriptedTransport
 
@@ -147,6 +152,14 @@ class TestRunCommand:
         attempts = [run["attempts"] for run in manifest["runs"]]
         assert attempts == [[0, 1, 2], [3, 4, 5], [6, 7, 8]]
 
+    @pytest.mark.parametrize("repeats", ["0", "-2"])
+    def test_repeats_below_one_is_fatal(self, tmp_path, capsys, repeats):
+        config = make_config(tmp_path)
+        assert cli.main(["run", "--config", str(config),
+                         "--repeats", repeats]) == 1
+        assert "repeats must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_missing_dataset_is_fatal(self, tmp_path, capsys):
         assert cli.main(["run", "--out", str(tmp_path / "out")]) == 1
         assert "no dataset" in capsys.readouterr().err
@@ -223,6 +236,24 @@ class TestSweepCommand:
         assert [row["label"] for row in sweep["settings"]] == [
             "top1", "top2", "top3", "none"]
 
+    def test_sweep_replays_through_the_mode_options(self, tmp_path):
+        surviving = {}
+        for mode in ("decisionflow", "ablate_no_scoring", "ablate_both"):
+            config = make_config(tmp_path, f"{mode}.json", mode=mode,
+                                 out=str(tmp_path / mode))
+            assert cli.main([
+                "sweep", "--config", str(config),
+                "--grid", "epsilon=0.0,0.3,0.7",
+            ]) == 0
+            sweep = json.loads((tmp_path / mode / "sweep.json").read_text())
+            assert sweep["live_calls"] == 0
+            surviving[mode] = [row["surviving_cells"]
+                               for row in sweep["settings"]]
+        assert surviving["decisionflow"] == [46, 30, 14]
+        # all-ones weights survive every threshold below 1
+        assert surviving["ablate_no_scoring"] == [48, 48, 48]
+        assert surviving["ablate_both"] == [48, 48, 48]
+
     def test_empty_grid_is_fatal(self, tmp_path, capsys):
         config = make_config(tmp_path)
         assert cli.main([
@@ -283,6 +314,46 @@ class TestReplayVerifyCommand:
             "replay-verify", "--transcripts", str(store_dir),
         ]) == 1
         assert "error:" in capsys.readouterr().err
+
+
+    def test_truncated_transcript_names_its_file(self, tmp_path, capsys):
+        store_dir = tmp_path / "store"
+        gateway = LlmGateway(
+            GatewayConfig(mode="record", transcript_dir=store_dir),
+            ScriptedTransport(),
+        )
+        gateway.complete(CompletionRequest(
+            model="reasoning-model", prompt="hello", temperature=0.0,
+            stage_tag="zero_shot",
+        ))
+        victim = next(store_dir.rglob("*.json"))
+        victim.write_bytes(victim.read_bytes()[:40])
+        assert cli.main([
+            "replay-verify", "--transcripts", str(store_dir),
+        ]) == 1
+        err = capsys.readouterr().err
+        assert str(victim) in err
+        assert "not valid JSON" in err
+
+        config = make_config(tmp_path, transcripts=str(store_dir))
+        assert cli.main(["run", "--config", str(config)]) == 1
+        assert str(victim) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("with_config", [False, True])
+    def test_store_is_verified_once(self, tmp_path, monkeypatch, with_config):
+        calls = []
+        verify = TranscriptStore.verify
+
+        def counting_verify(store):
+            calls.append(store.root)
+            return verify(store)
+
+        monkeypatch.setattr(TranscriptStore, "verify", counting_verify)
+        argv = ["replay-verify", "--transcripts", str(CORPUS_DIR)]
+        if with_config:
+            argv += ["--config", str(make_config(tmp_path))]
+        assert cli.main(argv) == 0
+        assert len(calls) == 1
 
 
 class TestParserBehavior:

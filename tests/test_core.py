@@ -290,9 +290,7 @@ class TestTypes:
         with pytest.raises(ValueError):
             DecisionProblem("p", "s", ("a", "b"), gold=5)
 
-    def test_relevance_cell_value_bounds(self):
-        with pytest.raises(ValueError):
-            RelevanceCell("high", value=1.5)
+    def test_relevance_cell_mentioned(self):
         assert RelevanceCell("not mentioned").mentioned is False
         assert RelevanceCell("severe bleeding").mentioned is True
 

@@ -176,13 +176,13 @@ class TestRecordMode:
         req = CompletionRequest("m1", "what now", 0.0, 64, "zero_shot")
         first = gw.complete(req)
         assert first.text == "echo: what now"
-        assert first.cache_hit is False
+        assert (gw.cache_hits, gw.network_operations()) == (0, 1)
         assert first.prompt_tokens == 11 and first.response_tokens == 5
         assert first.usage_approximate is False
         assert gw.store.has(request_digest(req))
 
         second = gw.complete(req)
-        assert second.cache_hit is True
+        assert (gw.cache_hits, gw.network_operations()) == (1, 1)
         assert second.text == first.text
         assert CannedHandler.calls == 1
         assert gw.network_operations() == 1
@@ -222,9 +222,9 @@ class TestReplayMode:
         got = gw.complete(REQ)
         assert got == Completion(
             text="recorded text", prompt_tokens=12, response_tokens=7,
-            latency=1.5, cache_hit=True, usage_approximate=False, attempts=1,
+            latency=1.5, usage_approximate=False, attempts=1,
         )
-        assert gw.network_operations() == 0
+        assert (gw.cache_hits, gw.network_operations()) == (1, 0)
 
     def test_replay_is_deterministic(self, tmp_path):
         store = TranscriptStore(tmp_path)

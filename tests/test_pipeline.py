@@ -19,12 +19,8 @@ from decisionflow.pipeline import (
     execute_run,
     kernel_sweep,
     render_objective,
-    run_baseline,
-    run_decisionflow,
     run_experiment,
-    run_joint,
     run_problem,
-    run_structured,
     usage_totals,
 )
 from decisionflow.testing import REFUSAL_TEXT, fixture_script
@@ -43,7 +39,7 @@ def stage_tags(trace):
 class TestStructuredRun:
     def test_case_study_utilities_and_answer(self, ctx_factory, bomber_problem):
         ctx = ctx_factory("decisionflow")
-        outcome = run_decisionflow(bomber_problem, ctx)
+        outcome = run_problem(bomber_problem, ctx)
         assert outcome.answer == 1
         assert outcome.utilities[0] == pytest.approx(0.625, abs=EPS)
         assert outcome.utilities[1] == pytest.approx(1.62, abs=EPS)
@@ -52,7 +48,7 @@ class TestStructuredRun:
 
     def test_stage_order_and_models(self, ctx_factory, bomber_problem):
         ctx = ctx_factory("decisionflow")
-        outcome = run_decisionflow(bomber_problem, ctx)
+        outcome = run_problem(bomber_problem, ctx)
         tags = stage_tags(outcome.trace)
         assert tags == [
             "extract_info", "summarize_attributes",
@@ -71,21 +67,21 @@ class TestStructuredRun:
     def test_deterministic_stages_use_attempt_zero(self, ctx_factory,
                                                    bomber_problem):
         ctx = ctx_factory("decisionflow")
-        outcome = run_decisionflow(bomber_problem, ctx)
+        outcome = run_problem(bomber_problem, ctx)
         assert all(e["payload"]["attempt"] == 0
                    for e in completion_events(outcome.trace))
 
     def test_repeats_share_transcripts(self, ctx_factory, bomber_problem):
         ctx = ctx_factory("decisionflow")
-        first = run_decisionflow(bomber_problem, ctx, repeat=0)
+        first = run_problem(bomber_problem, ctx, repeat=0)
         live_after_first = ctx.gateway.live_calls
-        second = run_decisionflow(bomber_problem, ctx, repeat=1)
+        second = run_problem(bomber_problem, ctx, repeat=1)
         assert ctx.gateway.live_calls == live_after_first
         assert second.utilities == first.utilities
 
     def test_objective_rendering_in_trace(self, ctx_factory, bomber_problem):
         ctx = ctx_factory("decisionflow")
-        outcome = run_decisionflow(bomber_problem, ctx)
+        outcome = run_problem(bomber_problem, ctx)
         objective = next(e for e in outcome.trace if e["kind"] == "objective")
         assert objective["payload"]["term"] == (
             "0.9*MC1*x1 + 0.85*SP1*x1 + 0.9*MC2*x2 + 0.9*SP2*x2"
@@ -96,7 +92,7 @@ class TestStructuredRun:
 
     def test_trace_has_no_wall_clock(self, ctx_factory, bomber_problem):
         ctx = ctx_factory("decisionflow")
-        outcome = run_decisionflow(bomber_problem, ctx)
+        outcome = run_problem(bomber_problem, ctx)
         blob = json.dumps(outcome.trace)
         assert "recorded_at" not in blob
         assert "timestamp" not in blob
@@ -104,7 +100,7 @@ class TestStructuredRun:
     def test_degenerate_all_weights_filtered(self, ctx_factory,
                                              degenerate_problem):
         ctx = ctx_factory("decisionflow")
-        outcome = run_decisionflow(degenerate_problem, ctx)
+        outcome = run_problem(degenerate_problem, ctx)
         assert outcome.answer == 0
         assert all(u == 0.0 for u in outcome.utilities)
         notes = [e["name"] for e in outcome.trace if e["kind"] == "note"]
@@ -115,7 +111,7 @@ class TestStructuredRun:
     def test_relevance_filter_target(self, ctx_factory, bomber_problem):
         ctx = ctx_factory("decisionflow", filter_target="relevance",
                           filter_policy=FilterPolicy.threshold(0.5))
-        outcome = run_decisionflow(bomber_problem, ctx)
+        outcome = run_problem(bomber_problem, ctx)
         # scores: woman (0.6, 0.1), bomber (0.9, 0.9); 0.5 keeps 0.6 and 0.9s
         assert outcome.utilities[0] == pytest.approx(0.9 * 0.6, abs=EPS)
         assert outcome.utilities[1] == pytest.approx(0.81 + 0.81, abs=EPS)
@@ -125,9 +121,9 @@ class TestStructuredRun:
 class TestReplayAndConcurrency:
     def test_replay_is_byte_identical(self, ctx_factory, bomber_problem):
         record_ctx = ctx_factory("decisionflow")
-        recorded = run_decisionflow(bomber_problem, record_ctx)
+        recorded = run_problem(bomber_problem, record_ctx)
         replay_ctx = ctx_factory("decisionflow", gateway_mode="replay")
-        replayed = run_decisionflow(bomber_problem, replay_ctx)
+        replayed = run_problem(bomber_problem, replay_ctx)
         assert json.dumps(replayed.trace, sort_keys=True) == \
             json.dumps(recorded.trace, sort_keys=True)
         assert replay_ctx.gateway.live_calls == 0
@@ -137,17 +133,17 @@ class TestReplayAndConcurrency:
     def test_replay_miss_names_digest(self, ctx_factory, bomber_problem):
         ctx = ctx_factory("decisionflow", gateway_mode="replay")
         with pytest.raises(ReplayMissError) as excinfo:
-            run_decisionflow(bomber_problem, ctx)
+            run_problem(bomber_problem, ctx)
         assert len(excinfo.value.digest) == 64
 
     def test_concurrency_does_not_change_trace(self, ctx_factory,
                                                bomber_problem):
         record_ctx = ctx_factory("decisionflow")
-        run_decisionflow(bomber_problem, record_ctx)
-        serial = run_decisionflow(
+        run_problem(bomber_problem, record_ctx)
+        serial = run_problem(
             bomber_problem, ctx_factory("decisionflow", gateway_mode="replay",
                                         max_concurrency=1))
-        threaded = run_decisionflow(
+        threaded = run_problem(
             bomber_problem, ctx_factory("decisionflow", gateway_mode="replay",
                                         max_concurrency=4))
         assert json.dumps(serial.trace) == json.dumps(threaded.trace)
@@ -155,7 +151,7 @@ class TestReplayAndConcurrency:
     def test_tool_assisted_mode_reuses_structured_transcripts(
             self, ctx_factory, bomber_problem):
         record_ctx = ctx_factory("decisionflow")
-        full = run_decisionflow(bomber_problem, record_ctx)
+        full = run_problem(bomber_problem, record_ctx)
         ctx = ctx_factory("cot_with_tools", gateway_mode="replay")
         outcome = run_problem(bomber_problem, ctx)
         assert outcome.answer == full.answer
@@ -168,7 +164,7 @@ class TestReplayAndConcurrency:
 class TestBaselines:
     def test_zero_shot_one_hot(self, ctx_factory, bomber_problem):
         ctx = ctx_factory("zero_shot")
-        outcome = run_baseline("zero_shot", bomber_problem, ctx)
+        outcome = run_problem(bomber_problem, ctx)
         assert outcome.answer is not None
         expected = tuple(
             1.0 if i == outcome.answer else 0.0
@@ -183,14 +179,14 @@ class TestBaselines:
     def test_cot_keeps_reasoning_as_rationale(self, ctx_factory,
                                               bomber_problem):
         ctx = ctx_factory("cot")
-        outcome = run_baseline("cot", bomber_problem, ctx)
+        outcome = run_problem(bomber_problem, ctx)
         assert outcome.rationale
         assert stage_tags(outcome.trace) == ["cot"]
 
     def test_self_consistency_attempts_and_temperature(self, ctx_factory,
                                                        bomber_problem):
         ctx = ctx_factory("self_consistency")
-        outcome = run_baseline("self_consistency", bomber_problem, ctx)
+        outcome = run_problem(bomber_problem, ctx)
         events = completion_events(outcome.trace)
         assert [e["payload"]["attempt"] for e in events] == [0, 1, 2]
         assert all(e["payload"]["stage_tag"] == "self_consistency"
@@ -204,8 +200,7 @@ class TestBaselines:
     def test_self_consistency_repeat_offsets_attempts(self, ctx_factory,
                                                       bomber_problem):
         ctx = ctx_factory("self_consistency")
-        outcome = run_baseline("self_consistency", bomber_problem, ctx,
-                               repeat=2)
+        outcome = run_problem(bomber_problem, ctx, repeat=2)
         events = completion_events(outcome.trace)
         assert [e["payload"]["attempt"] for e in events] == [6, 7, 8]
 
@@ -221,7 +216,7 @@ class TestBaselines:
             return fixture_script(request)
 
         ctx = ctx_factory("self_consistency", script=tie_script)
-        outcome = run_baseline("self_consistency", problem, ctx)
+        outcome = run_problem(problem, ctx)
         assert outcome.utilities == (1.0, 1.0, 1.0)
         assert outcome.answer == 0
 
@@ -235,7 +230,7 @@ class TestBaselines:
             return fixture_script(request)
 
         ctx = ctx_factory("self_consistency", script=flaky_script)
-        outcome = run_baseline("self_consistency", bomber_problem, ctx)
+        outcome = run_problem(bomber_problem, ctx)
         assert outcome.utilities == (0.0, 2.0)
         assert outcome.answer == 1
         notes = [e["name"] for e in outcome.trace if e["kind"] == "note"]
@@ -250,20 +245,15 @@ class TestBaselines:
 
         ctx = ctx_factory("self_consistency", script=refuse_all)
         with pytest.raises(DecisionError):
-            run_baseline("self_consistency", bomber_problem, ctx)
+            run_problem(bomber_problem, ctx)
 
     def test_joint_worked_example(self, ctx_factory, surgery_problem):
         ctx = ctx_factory("joint")
-        outcome = run_joint(surgery_problem, ctx)
+        outcome = run_problem(surgery_problem, ctx)
         assert outcome.answer == 0
         assert surgery_problem.actions[0] == "Proceed with surgery for Patient A"
         assert "Step 1" in outcome.rationale
         assert outcome.utilities == (1.0, 0.0)
-
-    def test_unknown_strategy_rejected(self, ctx_factory, bomber_problem):
-        ctx = ctx_factory("zero_shot")
-        with pytest.raises(ValueError):
-            run_baseline("galaxy_brain", bomber_problem, ctx)
 
 
 class TestAblations:
@@ -353,7 +343,7 @@ class TestKernelSweep:
         problems = [bomber_problem, degenerate_problem]
         record_ctx = ctx_factory("decisionflow")
         for problem in problems:
-            run_decisionflow(problem, record_ctx)
+            run_problem(problem, record_ctx)
         replay_ctx = ctx_factory("decisionflow", gateway_mode="replay")
         grid = [FilterPolicy.threshold(e) for e in (0.0, 0.1, 0.3, 0.5, 0.7)]
         settings = kernel_sweep(problems, replay_ctx, grid)
@@ -370,7 +360,7 @@ class TestKernelSweep:
     def test_sweep_epsilon_zero_matches_recorded_run(self, ctx_factory,
                                                      bomber_problem):
         record_ctx = ctx_factory("decisionflow")
-        recorded = run_decisionflow(bomber_problem, record_ctx)
+        recorded = run_problem(bomber_problem, record_ctx)
         replay_ctx = ctx_factory("decisionflow", gateway_mode="replay")
         (setting,) = kernel_sweep([bomber_problem], replay_ctx,
                                   [FilterPolicy.threshold(0.0)])
@@ -380,7 +370,7 @@ class TestKernelSweep:
 
     def test_top_k_grid(self, ctx_factory, bomber_problem):
         record_ctx = ctx_factory("decisionflow")
-        run_decisionflow(bomber_problem, record_ctx)
+        run_problem(bomber_problem, record_ctx)
         replay_ctx = ctx_factory("decisionflow", gateway_mode="replay")
         grid = [FilterPolicy.top_k(1), FilterPolicy.top_k(2),
                 FilterPolicy.none()]
@@ -411,6 +401,4 @@ class TestHelpers:
             PipelineConfig(self_consistency_k=2)
         with pytest.raises(ValueError):
             PipelineConfig(filter_target="vibes")
-        with pytest.raises(ValueError):
-            PipelineConfig(index_base=2)
         assert "decisionflow" in MODES

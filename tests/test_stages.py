@@ -8,7 +8,6 @@ import pytest
 from decisionflow.core import NOT_MENTIONED
 from decisionflow.errors import TemplateError
 from decisionflow.stages import (
-    SCHEMA_BY_STAGE,
     STAGES,
     StageTemplate,
     extract_json_block,
@@ -28,14 +27,7 @@ class TestTemplates:
         assert set(templates) == set(STAGES)
         for stage, template in templates.items():
             assert template.stage == stage
-            assert template.expected_schema == SCHEMA_BY_STAGE[stage]
             assert template.body.strip()
-
-    def test_each_schema_identifier_maps_to_one_parser_family(self):
-        # the schema ids are closed; every stage resolves to exactly one
-        schemas = {"information", "attribute_table", "weight", "scores",
-                   "decision", "freeform"}
-        assert set(SCHEMA_BY_STAGE.values()) == schemas
 
     def test_loading_from_directory(self, tmp_path):
         for stage in STAGES:
@@ -61,16 +53,16 @@ class TestTemplates:
 
 class TestRendering:
     def test_placeholders_found(self):
-        t = StageTemplate("cot", "choose {scenario} given {bias}", "decision")
+        t = StageTemplate("cot", "choose {scenario} given {bias}")
         assert t.placeholders() == {"scenario", "bias"}
 
     def test_render_fills_all_placeholders(self):
-        t = StageTemplate("cot", "S={scenario} B={bias}", "decision")
+        t = StageTemplate("cot", "S={scenario} B={bias}")
         out = render_stage_prompt(t, {"scenario": "a fire", "bias": "be fair"})
         assert out == "S=a fire B=be fair"
 
     def test_missing_placeholder_error_names_it(self):
-        t = StageTemplate("cot", "S={scenario} B={bias}", "decision")
+        t = StageTemplate("cot", "S={scenario} B={bias}")
         with pytest.raises(TemplateError) as err:
             render_stage_prompt(t, {"scenario": "a fire"})
         assert "bias" in str(err.value)
@@ -91,7 +83,7 @@ class TestRendering:
         assert render_stage_prompt(t, ctx) == render_stage_prompt(t, ctx)
 
     def test_extra_context_keys_are_ignored(self):
-        t = StageTemplate("cot", "S={scenario}", "decision")
+        t = StageTemplate("cot", "S={scenario}")
         assert render_stage_prompt(t, {"scenario": "x", "unused": "y"}) == "S=x"
 
 
