@@ -16,6 +16,7 @@ import os
 import tempfile
 import threading
 import time
+from concurrent.futures import Future
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -303,8 +304,10 @@ class LlmGateway:
 
     In record mode an unseen request goes to the transport (with retries on
     transport-level failures only; refusal text is data, not an error) and the
-    transcript is persisted before the completion is returned. In replay mode
-    an unseen request is a hard error naming the digest.
+    transcript is persisted before the completion is returned. Concurrent
+    requests with one digest share one send: the first claims the digest, the
+    others wait for its completion (or its error) and count as cache hits. In
+    replay mode an unseen request is a hard error naming the digest.
     """
 
     def __init__(self, config: GatewayConfig, transport=None):
@@ -321,6 +324,8 @@ class LlmGateway:
         self.cache_hits = 0
         self._lock = threading.Lock()
         self._gate = threading.Semaphore(config.max_in_flight)
+        # digest -> Future of the one send in flight for it; guarded by _lock
+        self._in_flight: dict[str, Future] = {}
         # entries checked when a replay gateway opens, None in record mode
         self.verified = self.store.verify() if config.mode == "replay" else None
 
@@ -332,13 +337,43 @@ class LlmGateway:
             )
         digest = request_digest(request)
         if self.store.has(digest):
-            entry = self.store.read(digest)
-            with self._lock:
-                self.cache_hits += 1
-            return _completion_from_entry(entry)
+            return self._from_store(digest)
         if self.config.mode == "replay":
             raise ReplayMissError(digest)
 
+        with self._lock:
+            flight = self._in_flight.get(digest)
+            leader = flight is None
+            if leader:
+                flight = self._in_flight[digest] = Future()
+        if not leader:
+            completion = flight.result()
+            with self._lock:
+                self.cache_hits += 1
+            return completion
+        try:
+            # an earlier flight may have landed between the lookup and the claim
+            if self.store.has(digest):
+                completion = self._from_store(digest)
+            else:
+                completion = self._record(request, digest)
+        except BaseException as err:
+            flight.set_exception(err)
+            raise
+        finally:
+            with self._lock:
+                del self._in_flight[digest]
+        flight.set_result(completion)
+        return completion
+
+    def _from_store(self, digest: str) -> Completion:
+        entry = self.store.read(digest)
+        with self._lock:
+            self.cache_hits += 1
+        return _completion_from_entry(entry)
+
+    def _record(self, request: CompletionRequest, digest: str) -> Completion:
+        """Send a request, persist its transcript and return the completion."""
         with self._gate:
             reply, attempts = self._call_with_retries(request)
         with self._lock:

@@ -587,26 +587,32 @@ def run_experiment(problems, ctx: ExperimentContext, repeats: int = 1,
                    interrupt=None) -> list[RunRecord]:
     """Execute repeats x problems, optionally across a bounded thread pool.
 
-    Results come back ordered by (problem order, repeat). `interrupt` is an
-    optional threading.Event checked between task submissions.
+    Tasks start repeat-major: every problem's repeat 0 before any repeat 1.
+    The deterministic stages of a later repeat send the same requests as
+    repeat 0, so they find those transcripts in the store, and concurrent
+    workers spend their time on distinct problems. Results come back ordered
+    by (problem order, repeat). `interrupt` is an optional threading.Event:
+    once it is set no further task starts, tasks already running finish, and
+    the records of the finished tasks are returned, in that same order.
     """
-    tasks = [
-        (problem, repeat) for problem in problems for repeat in range(repeats)
-    ]
+    # (problem index, repeat), in start order
+    tasks = [(index, repeat) for repeat in range(repeats)
+             for index in range(len(problems))]
+
+    def run(task):
+        if interrupt is not None and interrupt.is_set():
+            return None
+        index, repeat = task
+        return execute_run(problems[index], ctx, repeat)
+
     if ctx.config.max_concurrency > 1 and len(tasks) > 1:
         with ThreadPoolExecutor(max_workers=ctx.config.max_concurrency) as pool:
-            futures = []
-            for problem, repeat in tasks:
-                if interrupt is not None and interrupt.is_set():
-                    break
-                futures.append(pool.submit(execute_run, problem, ctx, repeat))
-            return [f.result() for f in futures]
-    records = []
-    for problem, repeat in tasks:
-        if interrupt is not None and interrupt.is_set():
-            break
-        records.append(execute_run(problem, ctx, repeat))
-    return records
+            results = list(pool.map(run, tasks))
+    else:
+        results = [run(task) for task in tasks]
+    return [record for _, record in sorted(zip(tasks, results),
+                                           key=lambda pair: pair[0])
+            if record is not None]
 
 
 @dataclass(frozen=True)

@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import json
+import signal
+import threading
+import time
 from pathlib import Path
 
 import pytest
 
 from conftest import CONFIG_DIR, CORPUS_DIR, DATASET_DIR, REPO_ROOT
-from decisionflow import cli
+from decisionflow import cli, pipeline
 from decisionflow.datasets import load_dataset, load_predictions, write_records
 from decisionflow.gateway import (
     CompletionRequest,
@@ -151,6 +154,70 @@ class TestRunCommand:
             (tmp_path / "out" / "manifest.json").read_text())
         attempts = [run["attempts"] for run in manifest["runs"]]
         assert attempts == [[0, 1, 2], [3, 4, 5], [6, 7, 8]]
+
+    def test_record_output_does_not_depend_on_concurrency(self, tmp_path,
+                                                          monkeypatch):
+        monkeypatch.setattr(cli, "_make_transport",
+                            lambda resolved: ScriptedTransport())
+        for c in (1, 4):
+            config = make_config(
+                tmp_path, f"c{c}.json", out=str(tmp_path / f"out{c}"),
+                transcripts=str(tmp_path / f"store{c}"),
+                gateway_mode="record", repeats=3, max_concurrency=c,
+            )
+            assert cli.main(["run", "--config", str(config)]) == 0
+        out1, out4 = tmp_path / "out1", tmp_path / "out4"
+        assert (out1 / "predictions.jsonl").read_bytes() == \
+            (out4 / "predictions.jsonl").read_bytes()
+        traces = sorted(p.name for p in (out1 / "traces").glob("*.json"))
+        assert len(traces) == 36
+        assert traces == sorted(p.name for p in (out4 / "traces").glob("*.json"))
+        for name in traces:
+            assert (out1 / "traces" / name).read_bytes() == \
+                (out4 / "traces" / name).read_bytes()
+        assert TranscriptStore(tmp_path / "store1").digests() == \
+            TranscriptStore(tmp_path / "store4").digests()
+
+    @pytest.mark.parametrize("concurrency", [1, 2])
+    def test_sigint_drains_and_marks_manifest(self, tmp_path, monkeypatch,
+                                              concurrency):
+        if threading.current_thread() is not threading.main_thread():
+            pytest.skip("the SIGINT handler is installed only on the main thread")
+        events = []
+        run_experiment = cli.run_experiment
+
+        def capture_event(problems, ctx, repeats, interrupt):
+            events.append(interrupt)
+            return run_experiment(problems, ctx, repeats, interrupt)
+
+        execute = pipeline.execute_run
+        first = threading.Lock()
+
+        def execute_then_sigint(problem, ctx, repeat=0):
+            # the first run sends SIGINT to the main thread, where the
+            # handler runs, after a pause long enough for a runner that
+            # queues every task up front to have queued them; the others
+            # start only once the handler has set the event
+            if first.acquire(blocking=False):
+                record = execute(problem, ctx, repeat)
+                time.sleep(0.1)
+                signal.pthread_kill(threading.main_thread().ident,
+                                    signal.SIGINT)
+                assert events[0].wait(10)
+                return record
+            assert events[0].wait(10)
+            return execute(problem, ctx, repeat)
+
+        monkeypatch.setattr(cli, "run_experiment", capture_event)
+        monkeypatch.setattr(pipeline, "execute_run", execute_then_sigint)
+        config = make_config(tmp_path, max_concurrency=concurrency)
+        assert cli.main(["run", "--config", str(config)]) == \
+            cli.EXIT_INTERRUPTED
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["interrupted"] is True
+        assert 1 <= len(manifest["runs"]) <= concurrency
+        rows = load_predictions(tmp_path / "out" / "predictions.jsonl")
+        assert len(rows) == len(manifest["runs"])
 
     @pytest.mark.parametrize("repeats", ["0", "-2"])
     def test_repeats_below_one_is_fatal(self, tmp_path, capsys, repeats):

@@ -3,6 +3,7 @@ HTTP fixture server, replay mode, and the retry budget."""
 
 import json
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
@@ -326,6 +327,102 @@ class TestRetries:
         gw = self._gateway(tmp_path, RefusingTransport())
         got = gw.complete(CompletionRequest("m", "p", 0.0, 64))
         assert got.text == "I cannot help with that."
+
+
+class BlockingTransport:
+    """Counts sends; each waits for `release`, then raises `exc` if set or
+    replies."""
+
+    def __init__(self, exc=None):
+        self.release = threading.Event()
+        self.exc = exc
+        self.calls = 0
+        self._lock = threading.Lock()
+
+    def send(self, request):
+        with self._lock:
+            self.calls += 1
+        if not self.release.wait(10):
+            raise RuntimeError("send was never released")
+        if self.exc is not None:
+            raise self.exc
+        return BackendReply(
+            text="shared", prompt_tokens=3, response_tokens=1, latency=0.1
+        )
+
+
+class TestSingleFlight:
+    N = 16
+
+    def _gateway(self, tmp_path, transport):
+        config = GatewayConfig(
+            mode="record", transcript_dir=tmp_path, backoff=0.001,
+        )
+        return LlmGateway(config, transport=transport)
+
+    def _race(self, gw, transport):
+        """Run N threads on REQ, release the send once every thread has looked
+        the digest up in the store, and return each thread's result or
+        exception."""
+        lookups = []
+        store_has = gw.store.has
+
+        def counting_has(digest):
+            found = store_has(digest)
+            lookups.append(digest)
+            return found
+
+        gw.store.has = counting_has
+        results = [None] * self.N
+
+        def worker(i):
+            try:
+                results[i] = gw.complete(REQ)
+            except Exception as err:
+                results[i] = err
+
+        threads = [threading.Thread(target=worker, args=(i,), daemon=True)
+                   for i in range(self.N)]
+        for t in threads:
+            t.start()
+        deadline = time.monotonic() + 10
+        while len(lookups) < self.N and time.monotonic() < deadline:
+            time.sleep(0.001)
+        transport.release.set()
+        for t in threads:
+            t.join(timeout=10)
+        assert not any(t.is_alive() for t in threads), "a waiter hung"
+        return results
+
+    def test_identical_requests_share_one_send(self, tmp_path):
+        transport = BlockingTransport()
+        gw = self._gateway(tmp_path, transport)
+        results = self._race(gw, transport)
+        assert transport.calls == 1
+        assert gw.live_calls == 1
+        assert gw.cache_hits == self.N - 1
+        assert all(isinstance(r, Completion) and r.text == "shared"
+                   for r in results)
+        assert gw.store.digests() == [FROZEN_DIGEST]
+
+    @pytest.mark.parametrize("exc", [
+        TransportError("boom"), BackendError("HTTP 400", payload="no"),
+    ], ids=["retries_exhausted", "backend_error"])
+    def test_failed_flight_fails_every_waiter_then_sends_again(
+            self, tmp_path, exc):
+        transport = BlockingTransport(exc=exc)
+        gw = self._gateway(tmp_path, transport)
+        results = self._race(gw, transport)
+        assert all(isinstance(r, type(exc)) for r in results)
+        assert gw._in_flight == {}
+        assert gw.live_calls == 0
+        assert gw.store.digests() == []
+
+        sends = transport.calls
+        transport.exc = None
+        assert gw.complete(REQ).text == "shared"
+        assert transport.calls == sends + 1
+        assert gw.live_calls == 1
 
 
 class TestHttpTransportStatuses:

@@ -7,13 +7,18 @@ so the numbers asserted here are frozen by the script, not by chance.
 from __future__ import annotations
 
 import json
+import threading
+import time
 
 import pytest
 
+from decisionflow import pipeline
 from decisionflow.core import DecisionProblem, FilterPolicy
 from decisionflow.errors import DecisionError, ReplayMissError
+from decisionflow.gateway import GatewayConfig, LlmGateway, request_digest
 from decisionflow.pipeline import (
     MODES,
+    ExperimentContext,
     PipelineConfig,
     attribute_codes,
     execute_run,
@@ -23,9 +28,27 @@ from decisionflow.pipeline import (
     run_problem,
     usage_totals,
 )
-from decisionflow.testing import REFUSAL_TEXT, fixture_script
+from decisionflow.testing import REFUSAL_TEXT, ScriptedTransport, fixture_script
 
 EPS = 1e-9
+
+
+class CountingTransport(ScriptedTransport):
+    """Scripted backend that counts sends and distinct digests under a lock
+    and holds each send for a moment, so concurrent workers overlap."""
+
+    def __init__(self):
+        super().__init__(fixture_script)
+        self.sends = 0
+        self.digests = set()
+        self._lock = threading.Lock()
+
+    def send(self, request):
+        with self._lock:
+            self.sends += 1
+            self.digests.add(request_digest(request))
+        time.sleep(0.002)
+        return super().send(request)
 
 
 def completion_events(trace):
@@ -303,10 +326,25 @@ class TestRunner:
         assert record.llm_calls == 1
         assert record.prompt_tokens > 0
 
-    def test_experiment_ordering_and_repeats(self, ctx_factory, mta_problems):
-        problems = mta_problems[:2]
+    def test_experiment_ordering_and_repeats(self, ctx_factory, mta_problems,
+                                             monkeypatch):
+        # reversed, so problem order is not problem_id order
+        problems = mta_problems[1::-1]
+        started = []
+        execute = pipeline.execute_run
+
+        def execute_logged(problem, ctx, repeat=0):
+            started.append((problem.problem_id, repeat))
+            return execute(problem, ctx, repeat)
+
+        monkeypatch.setattr(pipeline, "execute_run", execute_logged)
         ctx = ctx_factory("zero_shot")
         records = run_experiment(problems, ctx, repeats=2)
+        # runs start repeat-major and come back problem-major
+        assert started == [
+            (problems[0].problem_id, 0), (problems[1].problem_id, 0),
+            (problems[0].problem_id, 1), (problems[1].problem_id, 1),
+        ]
         assert [(r.problem_id, r.repeat) for r in records] == [
             (problems[0].problem_id, 0), (problems[0].problem_id, 1),
             (problems[1].problem_id, 0), (problems[1].problem_id, 1),
@@ -324,6 +362,53 @@ class TestRunner:
         assert [r.answer for r in threaded] == [r.answer for r in serial]
         assert [json.dumps(r.trace) for r in threaded] == \
             [json.dumps(r.trace) for r in serial]
+
+    @pytest.mark.parametrize("concurrency", [1, 2, 4, 8])
+    def test_record_sends_each_digest_once(self, tmp_path, templates,
+                                           mta_problems, concurrency):
+        transport = CountingTransport()
+        gateway = LlmGateway(
+            GatewayConfig(mode="record", transcript_dir=tmp_path / "store"),
+            transport,
+        )
+        ctx = ExperimentContext(
+            PipelineConfig(mode="decisionflow", max_concurrency=concurrency),
+            gateway, templates,
+        )
+        records = run_experiment(mta_problems, ctx, repeats=3)
+        assert transport.sends == len(transport.digests) == \
+            gateway.live_calls == len(gateway.store.digests()) == 90
+        assert gateway.live_calls + gateway.cache_hits == \
+            sum(r.llm_calls for r in records) == 288
+
+    @pytest.mark.parametrize("concurrency", [1, 2])
+    def test_interrupt_stops_further_tasks(self, ctx_factory, mta_problems,
+                                           monkeypatch, concurrency):
+        interrupt = threading.Event()
+        execute = pipeline.execute_run
+        first = threading.Lock()
+
+        def execute_then_interrupt(problem, ctx, repeat=0):
+            # the first run sets the event after a pause long enough for a
+            # runner that queues every task up front to have queued them;
+            # the others start only once it is set
+            if first.acquire(blocking=False):
+                record = execute(problem, ctx, repeat)
+                time.sleep(0.1)
+                interrupt.set()
+                return record
+            assert interrupt.wait(10)
+            return execute(problem, ctx, repeat)
+
+        monkeypatch.setattr(pipeline, "execute_run", execute_then_interrupt)
+        ctx = ctx_factory("zero_shot", max_concurrency=concurrency)
+        records = run_experiment(mta_problems, ctx, repeats=2,
+                                 interrupt=interrupt)
+        # only the tasks already running when the event was set finish
+        assert 1 <= len(records) <= concurrency
+        order = [p.problem_id for p in mta_problems]
+        keys = [(order.index(r.problem_id), r.repeat) for r in records]
+        assert keys == sorted(keys)
 
     def test_usage_additivity_against_store(self, ctx_factory,
                                             bomber_problem):
