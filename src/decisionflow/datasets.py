@@ -201,6 +201,11 @@ def load_dataset(path: str | Path, kind: str):
     seen: dict[str, int] = {}
     for line_no, obj in _read_jsonl(path):
         record = parse(obj, line_no)
+        # the id names the run's trace files
+        if record.record_id in ("", ".", "..") or any(
+                c in record.record_id for c in "/\\\0"):
+            raise DatasetError(f"id {record.record_id!r} is not a plain file name",
+                               line=line_no, field="id")
         if record.record_id in seen:
             raise DatasetError(
                 f"duplicate id {record.record_id!r} (first on line "

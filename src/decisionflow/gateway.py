@@ -17,7 +17,7 @@ import tempfile
 import threading
 import time
 from concurrent.futures import Future
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -33,6 +33,8 @@ log = logging.getLogger(__name__)
 API_KEY_ENV = "DECISIONFLOW_API_KEY"
 BASE_URL_ENV = "DECISIONFLOW_BASE_URL"
 DEFAULT_MAX_TOKENS = 4096
+# sends per record-mode request; transport errors are retried, nothing else is
+MAX_ATTEMPTS = 3
 
 # every stage_tag a request may carry; each has a template of the same name,
 # except self_consistency, which reuses zero_shot
@@ -57,6 +59,8 @@ def count_tokens(text: str) -> int:
 
 @dataclass(frozen=True)
 class CompletionRequest:
+    """One model call; ``digest``, not a field, is its request_digest."""
+
     model: str
     prompt: str
     temperature: float
@@ -75,6 +79,7 @@ class CompletionRequest:
             raise ValueError("attempt index must be >= 0")
         if self.stage_tag not in STAGE_TAGS:
             raise ValueError(f"unknown stage tag {self.stage_tag!r}")
+        object.__setattr__(self, "digest", request_digest(self))
 
 
 def request_digest(request: CompletionRequest) -> str:
@@ -132,13 +137,14 @@ class TranscriptStore:
     def has(self, digest: str) -> bool:
         return self.path_for(digest).is_file()
 
-    def read(self, digest: str) -> dict:
+    def read(self, digest: str) -> dict | None:
+        """The stored entry, or None when there is none."""
         path = self.path_for(digest)
-        if not path.is_file():
-            raise ReplayMissError(digest)
         try:
             with open(path, encoding="utf-8") as fh:
                 return json.load(fh)
+        except FileNotFoundError:
+            return None
         except (json.JSONDecodeError, UnicodeDecodeError) as err:
             raise TranscriptCorruptError(
                 f"transcript {path} is not valid JSON: {err}"
@@ -180,10 +186,9 @@ class TranscriptStore:
                 raise TranscriptCorruptError(
                     f"transcript {self.path_for(digest)} has a malformed request: {err}"
                 ) from err
-            actual = request_digest(req)
-            if actual != digest:
+            if req.digest != digest:
                 raise TranscriptCorruptError(
-                    f"transcript {self.path_for(digest)} hashes to {actual}"
+                    f"transcript {self.path_for(digest)} hashes to {req.digest}"
                 )
             checked += 1
         return checked
@@ -286,8 +291,6 @@ class GatewayConfig:
     transcript_dir: str | Path = "transcripts"
     base_url: str | None = None
     api_key: str | None = None
-    max_tokens_ceiling: int = DEFAULT_MAX_TOKENS
-    max_attempts: int = 3
     backoff: float = 0.5
     max_in_flight: int = 4
     timeout: float = 60.0
@@ -295,8 +298,6 @@ class GatewayConfig:
     def __post_init__(self):
         if self.mode not in ("replay", "record"):
             raise ValueError(f"unknown gateway mode {self.mode!r}")
-        if self.max_attempts < 1:
-            raise ValueError("max_attempts must be >= 1")
 
 
 class LlmGateway:
@@ -330,14 +331,15 @@ class LlmGateway:
         self.verified = self.store.verify() if config.mode == "replay" else None
 
     def complete(self, request: CompletionRequest) -> Completion:
-        if request.max_tokens > self.config.max_tokens_ceiling:
+        if request.max_tokens > DEFAULT_MAX_TOKENS:
             raise ValueError(
                 f"max_tokens {request.max_tokens} exceeds ceiling "
-                f"{self.config.max_tokens_ceiling}"
+                f"{DEFAULT_MAX_TOKENS}"
             )
-        digest = request_digest(request)
-        if self.store.has(digest):
-            return self._from_store(digest)
+        digest = request.digest
+        completion = self._lookup(digest)
+        if completion is not None:
+            return completion
         if self.config.mode == "replay":
             raise ReplayMissError(digest)
 
@@ -353,10 +355,7 @@ class LlmGateway:
             return completion
         try:
             # an earlier flight may have landed between the lookup and the claim
-            if self.store.has(digest):
-                completion = self._from_store(digest)
-            else:
-                completion = self._record(request, digest)
+            completion = self._lookup(digest) or self._record(request, digest)
         except BaseException as err:
             flight.set_exception(err)
             raise
@@ -366,8 +365,11 @@ class LlmGateway:
         flight.set_result(completion)
         return completion
 
-    def _from_store(self, digest: str) -> Completion:
+    def _lookup(self, digest: str) -> Completion | None:
+        """The stored completion, counted as a cache hit, or None."""
         entry = self.store.read(digest)
+        if entry is None:
+            return None
         with self._lock:
             self.cache_hits += 1
         return _completion_from_entry(entry)
@@ -394,14 +396,7 @@ class LlmGateway:
             log.warning("backend reported no usage; token counts are approximate")
         entry = {
             "digest": digest,
-            "request": {
-                "model": request.model,
-                "prompt": request.prompt,
-                "temperature": request.temperature,
-                "max_tokens": request.max_tokens,
-                "stage_tag": request.stage_tag,
-                "attempt": request.attempt,
-            },
+            "request": asdict(request),
             "response": {"text": reply.text},
             "usage": {
                 "prompt_tokens": prompt_tokens,
@@ -417,17 +412,17 @@ class LlmGateway:
 
     def _call_with_retries(self, request: CompletionRequest) -> tuple[BackendReply, int]:
         last: TransportError | None = None
-        for attempt in range(1, self.config.max_attempts + 1):
+        for attempt in range(1, MAX_ATTEMPTS + 1):
             try:
                 return self.transport.send(request), attempt
             except TransportError as err:
                 last = err
-                if attempt < self.config.max_attempts:
+                if attempt < MAX_ATTEMPTS:
                     delay = self.config.backoff * (2 ** (attempt - 1))
                     log.warning(
                         "transport failure (attempt %d/%d), retrying in %.2fs: %s",
                         attempt,
-                        self.config.max_attempts,
+                        MAX_ATTEMPTS,
                         delay,
                         err,
                     )

@@ -26,7 +26,8 @@ from .core import (
     sparsify_weights,
 )
 from .errors import InfeasibleError, StageOutputError, DecisionError
-from .gateway import CompletionRequest, LlmGateway, request_digest
+# request_digest is unused here, but perfbench/spans.py wraps it by this name
+from .gateway import CompletionRequest, LlmGateway, request_digest  # noqa: F401
 from .stages import (
     StageTemplate,
     parse_attribute_table,
@@ -120,7 +121,7 @@ def _record_call(trace, stage, name, request, completion):
         "model": request.model,
         "stage_tag": request.stage_tag,
         "attempt": request.attempt,
-        "digest": request_digest(request),
+        "digest": request.digest,
         "text": completion.text,
         "prompt_tokens": completion.prompt_tokens,
         "response_tokens": completion.response_tokens,
@@ -128,6 +129,15 @@ def _record_call(trace, stage, name, request, completion):
         "latency": completion.latency,
         "attempts": completion.attempts,
     }))
+
+
+def _map(fn, items, workers):
+    """[fn(item) for item in items], on a pool of ``workers`` threads when
+    both exceed one."""
+    if workers > 1 and len(items) > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(fn, items))
+    return [fn(item) for item in items]
 
 
 def _call(ctx, trace, stage, name, request):
@@ -369,11 +379,10 @@ def _weigh_cells(problem, ctx, table, trace, bias, constraints_text) -> WeightMa
     Calls may run concurrently; trace events are emitted in row-major order
     regardless, so the trace bytes do not depend on the concurrency setting.
     """
-    cfg = ctx.config
     n, m = table.shape
     cells = [(i, j) for i in range(n) for j in range(m)]
-    requests = {
-        (i, j): _request(ctx, "weigh", render_stage_prompt(
+    requests = [
+        _request(ctx, "weigh", render_stage_prompt(
             ctx.templates["weigh"], {
                 "bias": bias,
                 "constraints": constraints_text,
@@ -382,21 +391,14 @@ def _weigh_cells(problem, ctx, table, trace, bias, constraints_text) -> WeightMa
                 "verbal": table.cells[i][j].verbal,
             }))
         for (i, j) in cells
-    }
-    if cfg.max_concurrency > 1 and len(cells) > 1:
-        with ThreadPoolExecutor(max_workers=cfg.max_concurrency) as pool:
-            completions = dict(
-                zip(cells, pool.map(lambda c: ctx.gateway.complete(requests[c]),
-                                    cells))
-            )
-    else:
-        completions = {cell: ctx.gateway.complete(requests[cell]) for cell in cells}
+    ]
+    completions = _map(ctx.gateway.complete, requests,
+                       ctx.config.max_concurrency)
 
     rows = [[0.0] * m for _ in range(n)]
-    for (i, j) in cells:
-        completion = completions[(i, j)]
+    for (i, j), request, completion in zip(cells, requests, completions):
         name = f"weigh[{i},{j}]"
-        _record_call(trace, "S2", name, requests[(i, j)], completion)
+        _record_call(trace, "S2", name, request, completion)
         explanation, weight = parse_weight(completion.text)
         trace.append(_event("S2", "parsed", name,
                             {"explanation": explanation, "weight": weight}))
@@ -605,11 +607,7 @@ def run_experiment(problems, ctx: ExperimentContext, repeats: int = 1,
         index, repeat = task
         return execute_run(problems[index], ctx, repeat)
 
-    if ctx.config.max_concurrency > 1 and len(tasks) > 1:
-        with ThreadPoolExecutor(max_workers=ctx.config.max_concurrency) as pool:
-            results = list(pool.map(run, tasks))
-    else:
-        results = [run(task) for task in tasks]
+    results = _map(run, tasks, ctx.config.max_concurrency)
     return [record for _, record in sorted(zip(tasks, results),
                                            key=lambda pair: pair[0])
             if record is not None]

@@ -14,7 +14,7 @@ import hashlib
 import json
 import re
 
-from .gateway import BackendReply, CompletionRequest, count_tokens, request_digest
+from .gateway import BackendReply, CompletionRequest, count_tokens
 
 _CHOICE_LINE_RE = re.compile(r"^\((\d+)\)\s+(.*)$", re.MULTILINE)
 _ACTION_LINE_RE = re.compile(r'^Action:\s*"(.*)"\s*$', re.MULTILINE)
@@ -49,8 +49,7 @@ def unit_hash(*parts: str) -> float:
 
 def deterministic_latency(request: CompletionRequest) -> float:
     """Stable fake latency in [0.5, 2.5), derived from the request digest."""
-    digest = request_digest(request)
-    return round(int(digest[:8], 16) / 0xFFFFFFFF * 2.0 + 0.5, 4)
+    return round(int(request.digest[:8], 16) / 0xFFFFFFFF * 2.0 + 0.5, 4)
 
 
 def _bullet_block(prompt: str, header: str) -> list[str]:

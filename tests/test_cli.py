@@ -237,6 +237,19 @@ class TestRunCommand:
         assert cli.main(["run", "--config", str(path)]) == 1
         assert "unknown config keys" in capsys.readouterr().err
 
+    def test_dataset_id_that_is_a_path_is_fatal(self, tmp_path, capsys):
+        first = (DATASET_DIR / "dellma_small.jsonl").read_text(
+            encoding="utf-8").splitlines()[0]
+        record = {**json.loads(first), "id": "../escaped"}
+        dataset = tmp_path / "one.jsonl"
+        dataset.write_text(json.dumps(record) + "\n", encoding="utf-8")
+        config = make_config(tmp_path, dataset=str(dataset),
+                             dataset_kind="dellma",
+                             filter={"kind": "top_k", "k": 3})
+        assert cli.main(["run", "--config", str(config)]) == 1
+        assert "field 'id'" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "escaped__r0.json").exists()
+
     def test_replay_miss_is_fatal(self, tmp_path, capsys):
         config = make_config(
             tmp_path, mode="cot",

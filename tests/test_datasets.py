@@ -82,6 +82,10 @@ def _write_lines(path, objs):
     path.write_text("".join(json.dumps(o) + "\n" for o in objs), encoding="utf-8")
 
 
+# ids name trace files, and none of these is a plain file name
+UNSAFE_IDS = ["", ".", "..", "../escaped", "a/b", "a\\b", "a\0b"]
+
+
 class TestMtaValidation:
     @pytest.mark.parametrize(
         "overrides,field",
@@ -96,6 +100,7 @@ class TestMtaValidation:
             ({"bias_text": "   "}, "bias_text"),
             ({"scenario": ""}, "scenario"),
             ({"id": 7}, "id"),
+            *[({"id": record_id}, "id") for record_id in UNSAFE_IDS],
         ],
     )
     def test_mutations_name_the_field(self, tmp_path, overrides, field):
@@ -146,6 +151,17 @@ class TestDellmaValidation:
         with pytest.raises(DatasetError) as err:
             load_dataset(path, "dellma")
         assert err.value.field == "actions"
+
+    @pytest.mark.parametrize("record_id", UNSAFE_IDS)
+    def test_id_must_be_a_plain_file_name(self, tmp_path, record_id):
+        path = tmp_path / "bad.jsonl"
+        _write_lines(path, [{
+            "id": record_id, "domain": "stocks", "context": "prices",
+            "actions": ["a", "b"], "gold": 0,
+        }])
+        with pytest.raises(DatasetError) as err:
+            load_dataset(path, "dellma")
+        assert (err.value.line, err.value.field) == (1, "id")
 
     def test_unknown_domain(self, tmp_path):
         path = tmp_path / "odd.jsonl"

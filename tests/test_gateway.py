@@ -4,6 +4,7 @@ HTTP fixture server, replay mode, and the retry budget."""
 import json
 import threading
 import time
+from dataclasses import asdict, replace
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
@@ -15,6 +16,7 @@ from decisionflow.errors import (
     TransportError,
 )
 from decisionflow.gateway import (
+    DEFAULT_MAX_TOKENS,
     BackendReply,
     Completion,
     CompletionRequest,
@@ -55,6 +57,13 @@ class TestDigest:
         tagged = CompletionRequest("stub-reason", "hello", 0.0, 4096, "cot", 0)
         assert request_digest(tagged) == FROZEN_DIGEST
 
+    def test_request_carries_its_digest_outside_its_fields(self):
+        assert REQ.digest == FROZEN_DIGEST
+        assert "digest" not in asdict(REQ)
+        other = replace(REQ, prompt="hi")
+        assert other.digest == request_digest(other) != FROZEN_DIGEST
+        assert other != REQ and replace(other, prompt="hello") == REQ
+
 
 class TestRequestValidation:
     def test_empty_prompt_rejected(self):
@@ -67,8 +76,7 @@ class TestRequestValidation:
 
     def test_ceiling_enforced_by_gateway(self, tmp_path):
         gw = LlmGateway(GatewayConfig(mode="replay", transcript_dir=tmp_path))
-        big = CompletionRequest("m", "p", 0.0, max_tokens=4096)
-        gw.config.max_tokens_ceiling = 100
+        big = CompletionRequest("m", "p", 0.0, max_tokens=DEFAULT_MAX_TOKENS + 1)
         with pytest.raises(ValueError):
             gw.complete(big)
 
@@ -86,6 +94,9 @@ class TestTranscriptStore:
         store = TranscriptStore(tmp_path)
         digest = request_digest(REQ)
         assert store.path_for(digest) == tmp_path / digest[:2] / f"{digest}.json"
+
+    def test_read_of_a_missing_digest_is_none(self, tmp_path):
+        assert TranscriptStore(tmp_path).read(FROZEN_DIGEST) is None
 
     def test_write_leaves_no_temp_files(self, tmp_path):
         store = TranscriptStore(tmp_path)
@@ -365,14 +376,14 @@ class TestSingleFlight:
         the digest up in the store, and return each thread's result or
         exception."""
         lookups = []
-        store_has = gw.store.has
+        store_read = gw.store.read
 
-        def counting_has(digest):
-            found = store_has(digest)
+        def counting_read(digest):
+            found = store_read(digest)
             lookups.append(digest)
             return found
 
-        gw.store.has = counting_has
+        gw.store.read = counting_read
         results = [None] * self.N
 
         def worker(i):

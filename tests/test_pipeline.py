@@ -12,7 +12,8 @@ import time
 
 import pytest
 
-from decisionflow import pipeline
+from conftest import CORPUS_DIR
+from decisionflow import gateway, pipeline
 from decisionflow.core import DecisionProblem, FilterPolicy
 from decisionflow.errors import DecisionError, ReplayMissError
 from decisionflow.gateway import GatewayConfig, LlmGateway, request_digest
@@ -158,6 +159,33 @@ class TestReplayAndConcurrency:
         with pytest.raises(ReplayMissError) as excinfo:
             run_problem(bomber_problem, ctx)
         assert len(excinfo.value.digest) == 64
+
+    def test_replay_digests_and_opens_once_per_call(self, ctx_factory,
+                                                    mta_problems, monkeypatch):
+        ctx = ctx_factory("decisionflow", gateway_mode="replay",
+                          transcript_dir=CORPUS_DIR)
+        counts = {"digests": 0, "has": 0, "opens": 0}
+
+        def counting(key, fn):
+            def wrapper(*args, **kwargs):
+                counts[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        # counted from here on, after the store check the gateway runs on open
+        digest = gateway.request_digest
+        monkeypatch.setattr(gateway, "request_digest", counting("digests", digest))
+        monkeypatch.setattr(pipeline, "request_digest", counting("digests", digest))
+        monkeypatch.setattr(gateway.TranscriptStore, "has",
+                            counting("has", gateway.TranscriptStore.has))
+        monkeypatch.setattr(gateway, "open", counting("opens", open),
+                            raising=False)
+        records = run_experiment(mta_problems, ctx)
+        calls = sum(r.llm_calls for r in records)
+        assert calls > 0 and ctx.gateway.cache_hits == calls
+        assert counts["digests"] == calls
+        assert counts["has"] == 0
+        assert counts["opens"] == calls
 
     def test_concurrency_does_not_change_trace(self, ctx_factory,
                                                bomber_problem):
