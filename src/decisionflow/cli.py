@@ -36,6 +36,7 @@ from .metrics import (
     write_report,
 )
 from .pipeline import (
+    ABSTENTIONS,
     MODES,
     STRUCTURED_MODES,
     ExperimentContext,
@@ -72,12 +73,6 @@ DEFAULT_CONFIG = {
     "max_concurrency": 1,
     "base_url": None,
 }
-
-CONFIG_FLAGS = (
-    "mode", "dataset", "dataset_kind", "transcripts", "gateway_mode", "out",
-    "repeats", "info_model", "reasoning_model", "filter", "filter_target",
-    "self_consistency_k", "max_concurrency", "max_tokens",
-)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -157,7 +152,7 @@ def resolve_config(args) -> dict:
     resolved = dict(DEFAULT_CONFIG)
     if getattr(args, "config", None):
         resolved.update(load_config_file(args.config))
-    for key in CONFIG_FLAGS:
+    for key in DEFAULT_CONFIG:  # a key without a flag is never set on args
         value = getattr(args, key, None)
         if value is not None:
             resolved[key] = value
@@ -166,8 +161,6 @@ def resolve_config(args) -> dict:
         raise ValueError(f"unknown mode {resolved['mode']!r}")
     if resolved["repeats"] < 1:
         raise ValueError(f"repeats must be >= 1, not {resolved['repeats']}")
-    if resolved["dataset"] is None:
-        raise ValueError("no dataset given (config key 'dataset' or --dataset)")
     return resolved
 
 
@@ -206,6 +199,8 @@ def build_context(resolved: dict) -> ExperimentContext:
 
 
 def _load_problems(resolved):
+    if resolved["dataset"] is None:
+        raise ValueError("no dataset given (config key 'dataset' or --dataset)")
     records = load_dataset(resolved["dataset"], resolved["dataset_kind"])
     if not records:
         raise ValueError(f"dataset {resolved['dataset']} has no records")
@@ -370,31 +365,30 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_replay_verify(args) -> int:
-    if not getattr(args, "config", None):
-        checked = TranscriptStore(args.transcripts).verify()
-        print(f"{checked} transcripts verified in {args.transcripts}")
-        return EXIT_OK
-
     resolved = resolve_config(args)
     resolved["gateway_mode"] = "replay"
-    resolved["transcripts"] = str(args.transcripts)
+    store = resolved["transcripts"]
+    if not Path(store).is_dir():
+        raise ValueError(f"transcript store {store} is not a directory")
+    checked = TranscriptStore(store).verify()
+    print(f"{checked} transcripts verified in {store}")
+    if resolved["dataset"] is None:
+        return EXIT_OK
+
     _, problems = _load_problems(resolved)
-    ctx = build_context(resolved)  # opening a replay gateway verifies the store
-    print(f"{ctx.gateway.verified} transcripts verified in {args.transcripts}")
-    missing: list[tuple[str, int, str]] = []
+    ctx = build_context(resolved)
+    missing = 0
     for problem in problems:
         for repeat in range(resolved["repeats"]):
             try:
                 run_problem(problem, ctx, repeat)
             except ReplayMissError as err:
-                missing.append((problem.problem_id, repeat, err.digest))
-            except DecisionFlowError:
-                # parse-level abstentions are fine; coverage is what matters
-                continue
+                missing += 1
+                print(f"missing transcript for {problem.problem_id} repeat "
+                      f"{repeat}: {err.digest}", file=sys.stderr)
+            except ABSTENTIONS:
+                pass  # abstentions are fine; coverage is what matters
     if missing:
-        for problem_id, repeat, digest in missing:
-            print(f"missing transcript for {problem_id} repeat {repeat}: "
-                  f"{digest}", file=sys.stderr)
         return EXIT_FATAL
     print(f"replay coverage complete for {len(problems)} problems "
           f"x {resolved['repeats']} repeat(s)")
@@ -452,16 +446,10 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_parser.set_defaults(func=cmd_sweep)
 
     verify_parser = sub.add_parser(
-        "replay-verify", help="verify transcript integrity and coverage")
-    verify_parser.add_argument("--transcripts", required=True)
-    verify_parser.add_argument(
-        "--config", help="JSON config file; when given, coverage of the "
-                         "configured experiment is replayed and checked")
-    verify_parser.add_argument("--mode", choices=MODES)
-    verify_parser.add_argument("--dataset", help="dataset JSONL path")
-    verify_parser.add_argument("--dataset-kind", dest="dataset_kind",
-                               choices=("mta", "dellma"))
-    verify_parser.add_argument("--repeats", type=int)
+        "replay-verify",
+        help="verify every transcript, then replay the configured dataset "
+             "(if any) to check coverage")
+    _add_config_flags(verify_parser)
     verify_parser.set_defaults(func=cmd_replay_verify)
     return parser
 
@@ -474,10 +462,7 @@ def main(argv=None) -> int:
     )
     try:
         return args.func(args)
-    except DecisionFlowError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_FATAL
-    except (ValueError, OSError, json.JSONDecodeError) as err:
+    except (DecisionFlowError, ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_FATAL
     except KeyboardInterrupt:

@@ -19,6 +19,7 @@ import time
 from concurrent.futures import Future
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
+from operator import attrgetter, itemgetter
 from pathlib import Path
 
 from .errors import (
@@ -35,6 +36,13 @@ BASE_URL_ENV = "DECISIONFLOW_BASE_URL"
 DEFAULT_MAX_TOKENS = 4096
 # sends per record-mode request; transport errors are retried, nothing else is
 MAX_ATTEMPTS = 3
+# record-mode sends in flight at once, across every thread of one gateway
+MAX_IN_FLIGHT = 4
+# the request fields a digest covers, in canonical order; a read compares a
+# stored request with the live one on these instead of re-hashing it
+DIGEST_FIELDS = ("model", "temperature", "max_tokens", "prompt", "attempt")
+_request_fields = attrgetter(*DIGEST_FIELDS)
+_stored_fields = itemgetter(*DIGEST_FIELDS)
 
 # every stage_tag a request may carry; each has a template of the same name,
 # except self_consistency, which reuses zero_shot
@@ -85,14 +93,9 @@ class CompletionRequest:
 def request_digest(request: CompletionRequest) -> str:
     """Deterministic cache key; identical fields give identical digests in any
     process."""
+    model, temperature, max_tokens, prompt, attempt = _request_fields(request)
     canonical = json.dumps(
-        [
-            request.model,
-            float(request.temperature),
-            int(request.max_tokens),
-            request.prompt,
-            int(request.attempt),
-        ],
+        [model, float(temperature), int(max_tokens), prompt, int(attempt)],
         ensure_ascii=True,
         separators=(",", ":"),
     )
@@ -166,32 +169,25 @@ class TranscriptStore:
             raise
 
     def digests(self) -> list[str]:
-        if not self.root.is_dir():
-            return []
         return sorted(p.stem for p in self.root.glob("*/*.json"))
 
     def verify(self) -> int:
-        """Check every stored transcript hashes back to its own filename.
-
-        Distinct requests can never share a digest file; a stored request that
-        re-hashes differently means the store was edited or corrupted.
-        Returns the number of entries checked.
-        """
-        checked = 0
-        for digest in self.digests():
+        """Check every entry as a gateway read does, and that its request
+        hashes back to its file name; returns the number of entries checked."""
+        digests = self.digests()
+        for digest in digests:
+            path = self.path_for(digest)
             entry = self.read(digest)
             try:
-                req = CompletionRequest(**entry["request"])
+                request = CompletionRequest(**entry["request"])
             except (KeyError, TypeError, ValueError) as err:
                 raise TranscriptCorruptError(
-                    f"transcript {self.path_for(digest)} has a malformed request: {err}"
-                ) from err
-            if req.digest != digest:
+                    f"transcript {path} has a malformed request: {err}") from err
+            if request.digest != digest:
                 raise TranscriptCorruptError(
-                    f"transcript {self.path_for(digest)} hashes to {req.digest}"
-                )
-            checked += 1
-        return checked
+                    f"transcript {path} hashes to {request.digest}")
+            completion_from_entry(entry, request, self)
+        return len(digests)
 
 
 class HttpTransport:
@@ -292,7 +288,6 @@ class GatewayConfig:
     base_url: str | None = None
     api_key: str | None = None
     backoff: float = 0.5
-    max_in_flight: int = 4
     timeout: float = 60.0
 
     def __post_init__(self):
@@ -324,11 +319,9 @@ class LlmGateway:
         self.live_calls = 0
         self.cache_hits = 0
         self._lock = threading.Lock()
-        self._gate = threading.Semaphore(config.max_in_flight)
+        self._gate = threading.Semaphore(MAX_IN_FLIGHT)
         # digest -> Future of the one send in flight for it; guarded by _lock
         self._in_flight: dict[str, Future] = {}
-        # entries checked when a replay gateway opens, None in record mode
-        self.verified = self.store.verify() if config.mode == "replay" else None
 
     def complete(self, request: CompletionRequest) -> Completion:
         if request.max_tokens > DEFAULT_MAX_TOKENS:
@@ -337,7 +330,7 @@ class LlmGateway:
                 f"{DEFAULT_MAX_TOKENS}"
             )
         digest = request.digest
-        completion = self._lookup(digest)
+        completion = self._lookup(request)
         if completion is not None:
             return completion
         if self.config.mode == "replay":
@@ -355,7 +348,7 @@ class LlmGateway:
             return completion
         try:
             # an earlier flight may have landed between the lookup and the claim
-            completion = self._lookup(digest) or self._record(request, digest)
+            completion = self._lookup(request) or self._record(request, digest)
         except BaseException as err:
             flight.set_exception(err)
             raise
@@ -365,14 +358,16 @@ class LlmGateway:
         flight.set_result(completion)
         return completion
 
-    def _lookup(self, digest: str) -> Completion | None:
-        """The stored completion, counted as a cache hit, or None."""
-        entry = self.store.read(digest)
+    def _lookup(self, request: CompletionRequest) -> Completion | None:
+        """The stored completion, checked against ``request`` and counted as a
+        cache hit, or None."""
+        entry = self.store.read(request.digest)
         if entry is None:
             return None
+        completion = completion_from_entry(entry, request, self.store)
         with self._lock:
             self.cache_hits += 1
-        return _completion_from_entry(entry)
+        return completion
 
     def _record(self, request: CompletionRequest, digest: str) -> Completion:
         """Send a request, persist its transcript and return the completion."""
@@ -408,7 +403,7 @@ class LlmGateway:
             "recorded_at": datetime.now(timezone.utc).isoformat(),
         }
         self.store.write(digest, entry)
-        return _completion_from_entry(entry)
+        return completion_from_entry(entry, request, self.store)
 
     def _call_with_retries(self, request: CompletionRequest) -> tuple[BackendReply, int]:
         last: TransportError | None = None
@@ -429,18 +424,27 @@ class LlmGateway:
                     time.sleep(delay)
         raise last
 
-    def network_operations(self) -> int:
-        """Live calls issued so far; always zero under pure replay."""
-        return self.live_calls
 
-
-def _completion_from_entry(entry: dict) -> Completion:
-    usage = entry["usage"]
-    return Completion(
-        text=entry["response"]["text"],
-        prompt_tokens=usage["prompt_tokens"],
-        response_tokens=usage["response_tokens"],
-        latency=entry["latency"],
-        usage_approximate=usage.get("approximate", False),
-        attempts=entry.get("attempts", 1),
-    )
+def completion_from_entry(entry: dict, request: CompletionRequest,
+                          store: TranscriptStore) -> Completion:
+    """The completion ``entry`` holds for ``request``; TranscriptCorruptError
+    naming its file in ``store`` when its request differs on a digest field
+    or its response, usage or latency is missing or mistyped."""
+    try:
+        if _stored_fields(entry["request"]) != _request_fields(request):
+            raise ValueError(f"its request is not {request.digest}")
+        text = entry["response"]["text"]
+        if not isinstance(text, str):
+            raise TypeError(f"response text is {type(text).__name__}")
+        usage = entry["usage"]
+        return Completion(
+            text=text,
+            prompt_tokens=usage["prompt_tokens"],
+            response_tokens=usage["response_tokens"],
+            latency=entry["latency"],
+            usage_approximate=usage.get("approximate", False),
+            attempts=entry.get("attempts", 1),
+        )
+    except (KeyError, TypeError, ValueError) as err:
+        raise TranscriptCorruptError(
+            f"transcript {store.path_for(request.digest)} is corrupt: {err!r}") from err

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import logging
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -58,6 +59,9 @@ STRUCTURED_MODES = tuple(name for name, (structured, _) in MODES.items()
                          if structured)
 
 NO_DIRECTIVE = "Choose the action that best serves the stated goal."
+
+# errors that end one run as an abstention; every other error is fatal
+ABSTENTIONS = (StageOutputError, InfeasibleError)
 
 
 @dataclass(frozen=True)
@@ -225,7 +229,7 @@ def run_problem(problem: DecisionProblem, ctx: ExperimentContext,
             outcome, _ = run_structured(problem, ctx, trace, **options)
             return outcome
         return _run_direct(problem, ctx, trace, repeat, **options)
-    except (StageOutputError, InfeasibleError) as err:
+    except ABSTENTIONS as err:
         err.trace = tuple(trace)
         raise
 
@@ -559,7 +563,7 @@ def execute_run(problem: DecisionProblem, ctx: ExperimentContext,
         answer = outcome.answer
         abstained = answer is None
         error = None
-    except (StageOutputError, InfeasibleError) as err:
+    except ABSTENTIONS as err:
         trace = getattr(err, "trace", ())
         answer = None
         abstained = True
@@ -595,17 +599,23 @@ def run_experiment(problems, ctx: ExperimentContext, repeats: int = 1,
     workers spend their time on distinct problems. Results come back ordered
     by (problem order, repeat). `interrupt` is an optional threading.Event:
     once it is set no further task starts, tasks already running finish, and
-    the records of the finished tasks are returned, in that same order.
+    the records of the finished tasks are returned, in that same order. A
+    fatal error stops further tasks the same way, then is raised.
     """
     # (problem index, repeat), in start order
     tasks = [(index, repeat) for repeat in range(repeats)
              for index in range(len(problems))]
+    failed = threading.Event()
 
     def run(task):
-        if interrupt is not None and interrupt.is_set():
+        if failed.is_set() or (interrupt is not None and interrupt.is_set()):
             return None
         index, repeat = task
-        return execute_run(problems[index], ctx, repeat)
+        try:
+            return execute_run(problems[index], ctx, repeat)
+        except BaseException:
+            failed.set()
+            raise
 
     results = _map(run, tasks, ctx.config.max_concurrency)
     return [record for _, record in sorted(zip(tasks, results),

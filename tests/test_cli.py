@@ -250,6 +250,17 @@ class TestRunCommand:
         assert "field 'id'" in capsys.readouterr().err
         assert not (tmp_path / "out" / "escaped__r0.json").exists()
 
+    def test_run_and_sweep_never_scan_the_store(self, tmp_path, monkeypatch):
+        def scan(store):
+            raise AssertionError("whole-store scan")
+
+        monkeypatch.setattr(TranscriptStore, "verify", scan)
+        monkeypatch.setattr(TranscriptStore, "digests", scan)
+        config = make_config(tmp_path)
+        assert cli.main(["run", "--config", str(config)]) == 0
+        assert cli.main(["sweep", "--config", str(config),
+                         "--grid", "epsilon=0.3"]) == 0
+
     def test_replay_miss_is_fatal(self, tmp_path, capsys):
         config = make_config(
             tmp_path, mode="cot",
@@ -396,16 +407,16 @@ class TestReplayVerifyCommand:
         assert "error:" in capsys.readouterr().err
 
 
-    def test_truncated_transcript_names_its_file(self, tmp_path, capsys):
+    def test_truncated_transcript_names_its_file(self, tmp_path, capsys,
+                                                 monkeypatch):
+        monkeypatch.setattr(cli, "_make_transport",
+                            lambda resolved: ScriptedTransport())
         store_dir = tmp_path / "store"
-        gateway = LlmGateway(
-            GatewayConfig(mode="record", transcript_dir=store_dir),
-            ScriptedTransport(),
-        )
-        gateway.complete(CompletionRequest(
-            model="reasoning-model", prompt="hello", temperature=0.0,
-            stage_tag="zero_shot",
-        ))
+        config = make_config(tmp_path, mode="zero_shot",
+                             transcripts=str(store_dir))
+        # every transcript in this store is one the replayed run reads
+        assert cli.main(["run", "--config", str(config),
+                         "--gateway-mode", "record"]) == 0
         victim = next(store_dir.rglob("*.json"))
         victim.write_bytes(victim.read_bytes()[:40])
         assert cli.main([
@@ -415,9 +426,34 @@ class TestReplayVerifyCommand:
         assert str(victim) in err
         assert "not valid JSON" in err
 
-        config = make_config(tmp_path, transcripts=str(store_dir))
         assert cli.main(["run", "--config", str(config)]) == 1
         assert str(victim) in capsys.readouterr().err
+
+    def test_bundled_configs_name_their_store(self, monkeypatch, capsys):
+        monkeypatch.chdir(REPO_ROOT)
+        configs = sorted(CONFIG_DIR.glob("*.json"))
+        for config in configs:
+            assert cli.main(["replay-verify", "--config", str(config)]) == 0, \
+                config.name
+        out = capsys.readouterr().out
+        assert out.count("verified in fixtures/transcripts") == len(configs) == 9
+
+    def test_run_flags_set_the_checked_experiment(self, monkeypatch, capsys):
+        monkeypatch.chdir(REPO_ROOT)
+        config = str(CONFIG_DIR / "replay_mta_decisionflow.json")
+        assert cli.main([
+            "replay-verify", "--config", config, "--filter", "top2",
+        ]) == 0
+        assert cli.main([
+            "replay-verify", "--config", config, "--filter", "top1",
+        ]) == 1
+        assert "missing transcript" in capsys.readouterr().err
+
+    def test_missing_store_is_fatal(self, tmp_path, capsys):
+        assert cli.main([
+            "replay-verify", "--transcripts", str(tmp_path / "nowhere"),
+        ]) == 1
+        assert "not a directory" in capsys.readouterr().err
 
     @pytest.mark.parametrize("with_config", [False, True])
     def test_store_is_verified_once(self, tmp_path, monkeypatch, with_config):

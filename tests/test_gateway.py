@@ -9,6 +9,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
+from decisionflow import cli
 from decisionflow.errors import (
     BackendError,
     ReplayMissError,
@@ -188,16 +189,15 @@ class TestRecordMode:
         req = CompletionRequest("m1", "what now", 0.0, 64, "zero_shot")
         first = gw.complete(req)
         assert first.text == "echo: what now"
-        assert (gw.cache_hits, gw.network_operations()) == (0, 1)
+        assert (gw.cache_hits, gw.live_calls) == (0, 1)
         assert first.prompt_tokens == 11 and first.response_tokens == 5
         assert first.usage_approximate is False
         assert gw.store.has(request_digest(req))
 
         second = gw.complete(req)
-        assert (gw.cache_hits, gw.network_operations()) == (1, 1)
+        assert (gw.cache_hits, gw.live_calls) == (1, 1)
         assert second.text == first.text
         assert CannedHandler.calls == 1
-        assert gw.network_operations() == 1
 
     def test_missing_usage_falls_back_to_approximate_counts(
         self, tmp_path, fixture_server
@@ -236,7 +236,7 @@ class TestReplayMode:
             text="recorded text", prompt_tokens=12, response_tokens=7,
             latency=1.5, usage_approximate=False, attempts=1,
         )
-        assert (gw.cache_hits, gw.network_operations()) == (1, 0)
+        assert (gw.cache_hits, gw.live_calls) == (1, 0)
 
     def test_replay_is_deterministic(self, tmp_path):
         store = TranscriptStore(tmp_path)
@@ -251,13 +251,14 @@ class TestReplayMode:
         assert err.value.digest == FROZEN_DIGEST
         assert FROZEN_DIGEST in str(err.value)
 
-    def test_replay_verifies_store_on_open(self, tmp_path):
+    def test_replay_checks_each_entry_when_read(self, tmp_path):
         store = TranscriptStore(tmp_path)
         entry = _entry_for(REQ, "x")
         entry["request"]["model"] = "someone-else"
         store.write(request_digest(REQ), entry)
+        gw = LlmGateway(GatewayConfig(mode="replay", transcript_dir=tmp_path))
         with pytest.raises(TranscriptCorruptError):
-            LlmGateway(GatewayConfig(mode="replay", transcript_dir=tmp_path))
+            gw.complete(REQ)
 
     def test_concurrent_replay_reads_are_safe(self, tmp_path):
         store = TranscriptStore(tmp_path)
@@ -279,6 +280,57 @@ class TestReplayMode:
         for t in threads:
             t.join()
         assert results == {f"prompt {i}": f"text prompt {i}" for i in range(8)}
+
+
+def _tamper_request(entry):
+    entry["request"]["prompt"] = "tampered"
+
+
+def _drop_usage(entry):
+    del entry["usage"]
+
+
+def _drop_response(entry):
+    del entry["response"]
+
+
+def _number_text(entry):
+    entry["response"]["text"] = 42
+
+
+def _negative_latency(entry):
+    entry["latency"] = -1.0
+
+
+class NoSendTransport:
+    def send(self, request):
+        raise AssertionError("a stored entry must not be sent again")
+
+
+@pytest.mark.parametrize("tamper", [
+    _tamper_request, _drop_usage, _drop_response, _number_text,
+    _negative_latency,
+], ids=["tampered_request", "missing_usage", "missing_response",
+        "non_string_text", "negative_latency"])
+def test_malformed_entry_is_rejected_where_it_is_read(tmp_path, capsys, tamper):
+    store = TranscriptStore(tmp_path)
+    entry = _entry_for(REQ, "ok")
+    tamper(entry)
+    store.write(REQ.digest, entry)
+    path = str(store.path_for(REQ.digest))
+
+    for gw in (
+        LlmGateway(GatewayConfig(mode="replay", transcript_dir=tmp_path)),
+        LlmGateway(GatewayConfig(mode="record", transcript_dir=tmp_path),
+                   NoSendTransport()),
+    ):
+        with pytest.raises(TranscriptCorruptError) as err:
+            gw.complete(REQ)
+        assert path in str(err.value)
+        assert gw.cache_hits == 0
+
+    assert cli.main(["replay-verify", "--transcripts", str(tmp_path)]) == 1
+    assert path in capsys.readouterr().err
 
 
 class FlakyTransport:

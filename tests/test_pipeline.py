@@ -15,7 +15,7 @@ import pytest
 from conftest import CORPUS_DIR
 from decisionflow import gateway, pipeline
 from decisionflow.core import DecisionProblem, FilterPolicy
-from decisionflow.errors import DecisionError, ReplayMissError
+from decisionflow.errors import BackendError, DecisionError, ReplayMissError
 from decisionflow.gateway import GatewayConfig, LlmGateway, request_digest
 from decisionflow.pipeline import (
     MODES,
@@ -48,6 +48,28 @@ class CountingTransport(ScriptedTransport):
         with self._lock:
             self.sends += 1
             self.digests.add(request_digest(request))
+        time.sleep(0.002)
+        return super().send(request)
+
+
+class FailingTransport(ScriptedTransport):
+    """Scripted backend whose `fail_at`-th send raises BackendError; `failed`
+    is set from that moment on."""
+
+    def __init__(self, fail_at):
+        super().__init__(fixture_script)
+        self.fail_at = fail_at
+        self.sends = 0
+        self.failed = threading.Event()
+        self._lock = threading.Lock()
+
+    def send(self, request):
+        with self._lock:
+            self.sends += 1
+            failing = self.sends == self.fail_at
+        if failing:
+            self.failed.set()
+            raise BackendError("scripted failure")
         time.sleep(0.002)
         return super().send(request)
 
@@ -437,6 +459,36 @@ class TestRunner:
         order = [p.problem_id for p in mta_problems]
         keys = [(order.index(r.problem_id), r.repeat) for r in records]
         assert keys == sorted(keys)
+
+    def test_fatal_error_stops_further_tasks(self, tmp_path, templates,
+                                             mta_problems, monkeypatch):
+        concurrency = 2
+        transport = FailingTransport(fail_at=6)
+        gateway = LlmGateway(
+            GatewayConfig(mode="record", transcript_dir=tmp_path / "store"),
+            transport,
+        )
+        ctx = ExperimentContext(
+            PipelineConfig(mode="decisionflow", max_concurrency=concurrency),
+            gateway, templates,
+        )
+        late = []
+        execute = pipeline.execute_run
+
+        def execute_logged(problem, ctx, repeat=0):
+            if transport.failed.is_set():
+                late.append(problem.problem_id)
+            if problem is mta_problems[0]:
+                # the first run outlasts the failing one, so every later run
+                # is free to start while the failure waits to be collected
+                assert transport.failed.wait(10)
+                time.sleep(0.2)
+            return execute(problem, ctx, repeat)
+
+        monkeypatch.setattr(pipeline, "execute_run", execute_logged)
+        with pytest.raises(BackendError):
+            run_experiment(mta_problems, ctx, repeats=1)
+        assert len(late) <= concurrency - 1
 
     def test_usage_additivity_against_store(self, ctx_factory,
                                             bomber_problem):
