@@ -15,6 +15,7 @@ import logging
 import signal
 import sys
 import threading
+from dataclasses import asdict, fields
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -54,24 +55,21 @@ EXIT_FATAL = 1
 EXIT_PARTIAL = 2
 EXIT_INTERRUPTED = 130
 
+# config keys that are PipelineConfig fields of the same name and default;
+# the "filter" key carries filter_policy as a spec dict
+PIPELINE_KEYS = tuple(f.name for f in fields(PipelineConfig)
+                      if f.name != "filter_policy")
+
 DEFAULT_CONFIG = {
-    "mode": "decisionflow",
     "dataset": None,
     "dataset_kind": "mta",
     "transcripts": "transcripts",
     "gateway_mode": "replay",
     "out": None,
     "repeats": 1,
-    "info_model": "info-model",
-    "reasoning_model": "reasoning-model",
     "filter": {"kind": "threshold", "epsilon": 0.3},
-    "filter_target": "weights",
-    "self_consistency_k": 3,
-    "temperature_deterministic": 0.0,
-    "temperature_sampling": 0.7,
-    "max_tokens": 4096,
-    "max_concurrency": 1,
     "base_url": None,
+    **{key: getattr(PipelineConfig, key) for key in PIPELINE_KEYS},
 }
 
 
@@ -178,16 +176,8 @@ def _make_transport(resolved: dict):
 
 def build_context(resolved: dict) -> ExperimentContext:
     pipeline_config = PipelineConfig(
-        mode=resolved["mode"],
-        info_model=resolved["info_model"],
-        reasoning_model=resolved["reasoning_model"],
         filter_policy=policy_from_spec(resolved["filter"]),
-        filter_target=resolved["filter_target"],
-        temperature_deterministic=resolved["temperature_deterministic"],
-        temperature_sampling=resolved["temperature_sampling"],
-        self_consistency_k=resolved["self_consistency_k"],
-        max_tokens=resolved["max_tokens"],
-        max_concurrency=resolved["max_concurrency"],
+        **{key: resolved[key] for key in PIPELINE_KEYS},
     )
     gateway_config = GatewayConfig(
         mode=resolved["gateway_mode"],
@@ -250,7 +240,7 @@ def _write_run_outputs(out_dir: Path, resolved, records, run_records, gateway,
             "live_calls": gateway.live_calls,
             "cache_hits": gateway.cache_hits,
         },
-        "usage": usage_summary(run_records).to_json() if run_records else None,
+        "usage": asdict(usage_summary(run_records)) if run_records else None,
         "runs": [
             {
                 "id": r.problem_id,
@@ -395,16 +385,17 @@ def cmd_replay_verify(args) -> int:
     return EXIT_OK
 
 
-def _add_config_flags(parser):
+def _add_config_flags(parser, *, writes=True):
     parser.add_argument("--config", help="JSON config file")
     parser.add_argument("--mode", choices=MODES)
     parser.add_argument("--dataset", help="dataset JSONL path")
     parser.add_argument("--dataset-kind", dest="dataset_kind",
                         choices=("mta", "dellma"))
     parser.add_argument("--transcripts", help="transcript store directory")
-    parser.add_argument("--gateway-mode", dest="gateway_mode",
-                        choices=("replay", "record"))
-    parser.add_argument("--out", help="output directory")
+    if writes:  # replay-verify always replays and writes nothing
+        parser.add_argument("--gateway-mode", dest="gateway_mode",
+                            choices=("replay", "record"))
+        parser.add_argument("--out", help="output directory")
     parser.add_argument("--repeats", type=int)
     parser.add_argument("--info-model", dest="info_model")
     parser.add_argument("--reasoning-model", dest="reasoning_model")
@@ -449,7 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
         "replay-verify",
         help="verify every transcript, then replay the configured dataset "
              "(if any) to check coverage")
-    _add_config_flags(verify_parser)
+    _add_config_flags(verify_parser, writes=False)
     verify_parser.set_defaults(func=cmd_replay_verify)
     return parser
 

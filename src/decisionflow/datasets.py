@@ -42,8 +42,6 @@ class MtaRecord:
     bias_text: str
     gold: int
 
-    FIELDS = ("id", "scenario", "choices", "dma", "alignment", "bias_text", "gold")
-
     def to_json(self) -> dict:
         return {
             "id": self.record_id,
@@ -65,8 +63,6 @@ class DellmaRecord:
     context: str
     actions: tuple[str, ...]
     gold: int
-
-    FIELDS = ("id", "domain", "context", "actions", "gold")
 
     def to_json(self) -> dict:
         return {

@@ -11,7 +11,7 @@ numbers are rounded to two decimals with half-up rounding.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
 from statistics import fmean, stdev
@@ -61,14 +61,6 @@ class RepeatStats:
     n: int
     single_repeat: bool
 
-    def to_json(self) -> dict:
-        return {
-            "mean": self.mean,
-            "std": self.std,
-            "n": self.n,
-            "single_repeat": self.single_repeat,
-        }
-
 
 def repeat_stats(values) -> RepeatStats:
     values = [float(v) for v in values]
@@ -90,16 +82,6 @@ class UsageSummary:
     mean_latency: float
     total_calls: int
     usage_approximate: bool
-
-    def to_json(self) -> dict:
-        return {
-            "n_runs": self.n_runs,
-            "mean_prompt_tokens": self.mean_prompt_tokens,
-            "mean_response_tokens": self.mean_response_tokens,
-            "mean_latency": self.mean_latency,
-            "total_calls": self.total_calls,
-            "usage_approximate": self.usage_approximate,
-        }
 
 
 def usage_summary(records) -> UsageSummary:
@@ -193,7 +175,7 @@ def evaluate(predictions, records, kind: str) -> dict:
         "repeats": repeats,
         "n_predictions": sum(len(b) for b in by_repeat.values()),
         "abstentions": abstentions,
-        "overall_accuracy": overall.to_json(),
+        "overall_accuracy": asdict(overall),
     }
     if kind == "mta":
         report["alignment"] = _alignment_section(by_repeat, records_by_id)
@@ -218,10 +200,10 @@ def _alignment_section(by_repeat, records_by_id):
     biases = [bias_score(h, l) for h, l in zip(high, low)]
     bias = repeat_stats(biases)
     return {
-        "high": repeat_stats(high).to_json(),
-        "low": repeat_stats(low).to_json(),
-        "average": repeat_stats(averages).to_json(),
-        "bias": {**bias.to_json(), "absolute_mean": abs(bias.mean)},
+        "high": asdict(repeat_stats(high)),
+        "low": asdict(repeat_stats(low)),
+        "average": asdict(repeat_stats(averages)),
+        "bias": {**asdict(bias), "absolute_mean": abs(bias.mean)},
     }
 
 
@@ -236,9 +218,9 @@ def _per_attribute_section(by_repeat, records_by_id):
                 if r.dma == attribute and r.alignment == side
             )
             if ids:
-                row[side] = repeat_stats(
+                row[side] = asdict(repeat_stats(
                     _per_repeat_accuracy(by_repeat, records_by_id, ids)
-                ).to_json()
+                ))
         section[attribute] = row
     return section
 
@@ -249,12 +231,12 @@ def _action_group_section(by_repeat, records_by_id):
     for count in counts:
         ids = sorted(i for i, r in records_by_id.items()
                      if len(r.actions) == count)
-        section[str(count)] = repeat_stats(
+        section[str(count)] = asdict(repeat_stats(
             _per_repeat_accuracy(by_repeat, records_by_id, ids)
-        ).to_json()
-    section["All"] = repeat_stats(
+        ))
+    section["All"] = asdict(repeat_stats(
         _per_repeat_accuracy(by_repeat, records_by_id, sorted(records_by_id))
-    ).to_json()
+    ))
     return section
 
 
@@ -286,7 +268,7 @@ def _stats_cells(stats: dict) -> str:
     return f"{value} ± {format_2dp(stats['std'])}"
 
 
-def render_markdown(report: dict, usage: UsageSummary | None = None) -> str:
+def render_markdown(report: dict) -> str:
     """Human-readable report; all numbers at two decimals, half-up."""
     lines = ["# Evaluation report", ""]
     lines.append(f"- Mode: `{report['mode']}`")
@@ -323,15 +305,11 @@ def render_markdown(report: dict, usage: UsageSummary | None = None) -> str:
             high = _stats_cells(row["high"]) if "high" in row else "-"
             low = _stats_cells(row["low"]) if "low" in row else "-"
             if "high" in row and "low" in row:
-                avg = format_2dp(
-                    average_accuracy(row["high"]["mean"], row["low"]["mean"])
-                )
-                bias = format_2dp(
-                    bias_score(row["high"]["mean"], row["low"]["mean"])
-                )
-                abs_bias = format_2dp(abs(
-                    bias_score(row["high"]["mean"], row["low"]["mean"])
-                ))
+                high_mean, low_mean = row["high"]["mean"], row["low"]["mean"]
+                avg = format_2dp(average_accuracy(high_mean, low_mean))
+                gap = bias_score(high_mean, low_mean)
+                bias = format_2dp(gap)
+                abs_bias = format_2dp(abs(gap))
             else:
                 avg = bias = abs_bias = "-"
             lines.append(
@@ -352,20 +330,6 @@ def render_markdown(report: dict, usage: UsageSummary | None = None) -> str:
             + " |"
         )
         lines.append("")
-
-    if usage is not None:
-        lines.append("## Usage")
-        lines.append("")
-        lines.append("| Runs | Mean prompt tokens | Mean response tokens | "
-                     "Mean latency (s) | Total calls |")
-        lines.append("| --- | --- | --- | --- | --- |")
-        approx = " (approximate)" if usage.usage_approximate else ""
-        lines.append(
-            f"| {usage.n_runs} | {format_2dp(usage.mean_prompt_tokens)} | "
-            f"{format_2dp(usage.mean_response_tokens)} | "
-            f"{format_2dp(usage.mean_latency)}{approx} | {usage.total_calls} |"
-        )
-        lines.append("")
     return "\n".join(lines)
 
 
@@ -384,18 +348,15 @@ def render_sweep_markdown(report: dict) -> str:
     return "\n".join(lines)
 
 
-def write_report(report: dict, directory, usage: UsageSummary | None = None):
+def write_report(report: dict, directory):
     """Write report.json (full precision) and report.md (rounded)."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    payload = dict(report)
-    if usage is not None:
-        payload["usage"] = usage.to_json()
     json_path = directory / "report.json"
     md_path = directory / "report.md"
     json_path.write_text(
-        json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False) + "\n",
+        json.dumps(report, indent=2, sort_keys=True, ensure_ascii=False) + "\n",
         encoding="utf-8",
     )
-    md_path.write_text(render_markdown(report, usage), encoding="utf-8")
+    md_path.write_text(render_markdown(report), encoding="utf-8")
     return json_path, md_path

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import logging
-import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -27,8 +26,9 @@ from .core import (
     sparsify_weights,
 )
 from .errors import InfeasibleError, StageOutputError, DecisionError
+from .gateway import DEFAULT_MAX_TOKENS, CompletionRequest, LlmGateway
 # request_digest is unused here, but perfbench/spans.py wraps it by this name
-from .gateway import CompletionRequest, LlmGateway, request_digest  # noqa: F401
+from .gateway import request_digest  # noqa: F401
 from .stages import (
     StageTemplate,
     parse_attribute_table,
@@ -75,7 +75,7 @@ class PipelineConfig:
     temperature_deterministic: float = 0.0
     temperature_sampling: float = 0.7
     self_consistency_k: int = 3
-    max_tokens: int = 4096
+    max_tokens: int = DEFAULT_MAX_TOKENS
     max_concurrency: int = 1
 
     def __post_init__(self):
@@ -137,11 +137,25 @@ def _record_call(trace, stage, name, request, completion):
 
 def _map(fn, items, workers):
     """[fn(item) for item in items], on a pool of ``workers`` threads when
-    both exceed one."""
-    if workers > 1 and len(items) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, items))
-    return [fn(item) for item in items]
+    both exceed one. Once an item raises, no further item starts; the items
+    already running finish, then the first error is raised."""
+    if workers <= 1 or len(items) <= 1:
+        return [fn(item) for item in items]
+    errors = []
+
+    def run(item):
+        if not errors:
+            try:
+                return fn(item)
+            except BaseException as err:
+                errors.append(err)
+                raise
+
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        futures = [pool.submit(run, item) for item in items]
+    if errors:
+        raise errors[0]
+    return [future.result() for future in futures]
 
 
 def _call(ctx, trace, stage, name, request):
@@ -600,22 +614,17 @@ def run_experiment(problems, ctx: ExperimentContext, repeats: int = 1,
     by (problem order, repeat). `interrupt` is an optional threading.Event:
     once it is set no further task starts, tasks already running finish, and
     the records of the finished tasks are returned, in that same order. A
-    fatal error stops further tasks the same way, then is raised.
+    fatal error stops further tasks the same way (see `_map`), then is raised.
     """
     # (problem index, repeat), in start order
     tasks = [(index, repeat) for repeat in range(repeats)
              for index in range(len(problems))]
-    failed = threading.Event()
 
     def run(task):
-        if failed.is_set() or (interrupt is not None and interrupt.is_set()):
+        if interrupt is not None and interrupt.is_set():
             return None
         index, repeat = task
-        try:
-            return execute_run(problems[index], ctx, repeat)
-        except BaseException:
-            failed.set()
-            raise
+        return execute_run(problems[index], ctx, repeat)
 
     results = _map(run, tasks, ctx.config.max_concurrency)
     return [record for _, record in sorted(zip(tasks, results),

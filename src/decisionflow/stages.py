@@ -55,19 +55,15 @@ def load_templates(directory: str | Path | None = None) -> dict[str, StageTempla
 
     With no directory, the packaged defaults are used.
     """
+    root = (resources.files("decisionflow").joinpath("templates")
+            if directory is None else Path(directory))
     templates = {}
     for stage in STAGES:
-        if directory is None:
-            ref = resources.files("decisionflow").joinpath("templates", f"{stage}.txt")
-            if not ref.is_file():
-                raise TemplateError(f"packaged template for stage '{stage}' is missing")
-            body = ref.read_text(encoding="utf-8")
-        else:
-            path = Path(directory) / f"{stage}.txt"
-            if not path.is_file():
-                raise TemplateError(f"no template file for stage '{stage}' at {path}")
-            body = path.read_text(encoding="utf-8")
-        templates[stage] = StageTemplate(stage=stage, body=body)
+        path = root.joinpath(f"{stage}.txt")
+        if not path.is_file():
+            raise TemplateError(f"no template file for stage '{stage}' at {path}")
+        templates[stage] = StageTemplate(stage=stage,
+                                         body=path.read_text(encoding="utf-8"))
     return templates
 
 
@@ -200,10 +196,12 @@ def parse_json_payload(text: str) -> tuple[object, list[str]]:
     return json.loads(block), repairs
 
 
-def _require_object(payload: object, raw: str) -> dict:
+def _json_object(text: str) -> dict:
+    """The JSON object a completion carries; SchemaError if it is not one."""
+    payload, _ = parse_json_payload(text)
     if not isinstance(payload, dict):
         raise SchemaError(
-            f"expected a JSON object, got {type(payload).__name__}", raw=raw
+            f"expected a JSON object, got {type(payload).__name__}", raw=text
         )
     return payload
 
@@ -231,8 +229,7 @@ def parse_extraction(text: str, actions) -> list[str]:
     Statements that name no action are logged and kept; an empty array is a
     degenerate but legal outcome (the caller flags it).
     """
-    payload, _ = parse_json_payload(text)
-    payload = _require_object(payload, text)
+    payload = _json_object(text)
     if "information" not in payload:
         raise SchemaError("completion lacks an 'information' key", raw=text)
     items = payload["information"]
@@ -310,8 +307,7 @@ def parse_attribute_table(text: str, actions) -> AttributeTable:
     the model never filled read "not mentioned". A variable that matches no
     action is an alignment error listing the candidates.
     """
-    payload, _ = parse_json_payload(text)
-    payload = _require_object(payload, text)
+    payload = _json_object(text)
     entries = payload.get("Variable", payload.get("Variables"))
     if entries is None:
         raise SchemaError("completion lacks a 'Variable' key", raw=text)
@@ -365,8 +361,7 @@ def parse_attribute_table(text: str, actions) -> AttributeTable:
 
 def parse_weight(text: str) -> tuple[str, float]:
     """Read (explanation, weight); out-of-range weights clamp with a warning."""
-    payload, _ = parse_json_payload(text)
-    payload = _require_object(payload, text)
+    payload = _json_object(text)
     if "Weight" not in payload:
         raise SchemaError("completion lacks a 'Weight' key", raw=text)
     weight = _as_number(payload["Weight"])
@@ -388,8 +383,7 @@ def parse_decision(text: str, n_actions: int, index_base: int = 0) -> tuple[str,
     index_base describes how the choices were numbered in the prompt (0 or 1).
     The answer is normalized exactly once, here at the boundary.
     """
-    payload, _ = parse_json_payload(text)
-    payload = _require_object(payload, text)
+    payload = _json_object(text)
     if "Answer" not in payload:
         raise SchemaError("completion lacks an 'Answer' key", raw=text)
     value = _as_number(payload["Answer"])
@@ -415,8 +409,7 @@ def parse_grounding(text: str, table: AttributeTable, surviving) -> tuple:
     "not mentioned" cells score 0.0 by definition; a surviving, mentioned
     cell with no score is a completeness error naming the cell.
     """
-    payload, _ = parse_json_payload(text)
-    payload = _require_object(payload, text)
+    payload = _json_object(text)
     if "Scores" not in payload:
         raise SchemaError("completion lacks a 'Scores' key", raw=text)
     items = payload["Scores"]

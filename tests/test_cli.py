@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import signal
 import threading
@@ -449,6 +450,16 @@ class TestReplayVerifyCommand:
         ]) == 1
         assert "missing transcript" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", [["--gateway-mode", "record"],
+                                      ["--out", "x"]])
+    def test_rejects_flags_it_would_ignore(self, monkeypatch, capsys, flag):
+        monkeypatch.chdir(REPO_ROOT)
+        config = str(CONFIG_DIR / "replay_mta_cot.json")
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["replay-verify", "--config", config, *flag])
+        assert excinfo.value.code == cli.EXIT_FATAL
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_missing_store_is_fatal(self, tmp_path, capsys):
         assert cli.main([
             "replay-verify", "--transcripts", str(tmp_path / "nowhere"),
@@ -470,6 +481,72 @@ class TestReplayVerifyCommand:
             argv += ["--config", str(make_config(tmp_path))]
         assert cli.main(argv) == 0
         assert len(calls) == 1
+
+
+# frozen outputs: a refactor of the config defaults or the report writer that
+# changes one of these has changed behaviour
+CONFIG_DIGESTS = {
+    "replay_dellma_decisionflow.json":
+        "5a57d44c0c7eb6144ed30128d7f18c9dce77a94bf416e9613da3e7c467cf017d",
+    "replay_edge_decisionflow.json":
+        "19f3160d4d1fb595c906fe818c2ad5ec650f0c25ea4ee880d5113f2313904365",
+    "replay_edge_zero_shot.json":
+        "06fb8f2715ab7bcc9d7d79ee22f066f802b4f5b8745c3a72728220fdd3305b90",
+    "replay_mta_cot.json":
+        "cf8ed5437e9106497e5a049a74e855e493e2d879eca180968c1cb40ec514fb8c",
+    "replay_mta_cot_with_tools.json":
+        "7fa46fba19a386396a16eb4cd4e8979aee342cb829355c7687f4a0702d356eed",
+    "replay_mta_decisionflow.json":
+        "fcc8e733cb30b8447f44779bf49af2ae555e8ed4c984b650df4e09d4064673d7",
+    "replay_mta_joint.json":
+        "76cd9d8626b4ad77fab614c30747bedb2f49a46bb01d1bc9038e2c516b12d67e",
+    "replay_mta_self_consistency.json":
+        "1719c396654e97e5d7bd8674edb04750f01c7b23f432b4520e8ed94288189e8e",
+    "replay_mta_zero_shot.json":
+        "3752d187e1e05bc4c72e849f28b116ed23a0782cae449aba55106bcca5db19b1",
+}
+
+REPORT_SHA256 = {
+    ("mta_decisionflow", "report.json"):
+        "77bc117912047499ae70457b0da53dd3793a9a8a06b505db8c02026eb91b7250",
+    ("mta_decisionflow", "report.md"):
+        "adaf71d048a83cc08e7a7d4bb4b8e3e0ec6e7c00492a5053b7d6feb87d627d3a",
+    ("dellma_decisionflow", "report.json"):
+        "8bba5ac72c82b9d59dac718cb8c988f20d6093bdd8c64caac8eb2b4ef05fc292",
+    ("dellma_decisionflow", "report.md"):
+        "dc364f8aa5c18e447b1bbc7ec7a75247c1048d8a52a85be7e427e1f82c6068fe",
+}
+
+
+class TestFrozenOutputs:
+    def test_bundled_config_digests(self, monkeypatch):
+        monkeypatch.chdir(REPO_ROOT)
+        digests = {}
+        for config in sorted(CONFIG_DIR.glob("*.json")):
+            args = cli.build_parser().parse_args(
+                ["run", "--config", str(config)])
+            digests[config.name] = cli.config_digest(cli.resolve_config(args))
+        assert digests == CONFIG_DIGESTS
+
+    @pytest.mark.parametrize("name,dataset,kind", [
+        ("mta_decisionflow", "mta_small", "mta"),
+        ("dellma_decisionflow", "dellma_small", "dellma"),
+    ])
+    def test_eval_report_bytes(self, tmp_path, monkeypatch, name, dataset,
+                               kind):
+        monkeypatch.chdir(REPO_ROOT)
+        out = tmp_path / name
+        assert cli.main(["run", "--config",
+                         str(CONFIG_DIR / f"replay_{name}.json"),
+                         "--out", str(out)]) == 0
+        assert cli.main([
+            "eval", "--predictions", str(out / "predictions.jsonl"),
+            "--dataset", str(DATASET_DIR / f"{dataset}.jsonl"),
+            "--dataset-kind", kind, "--out", str(out),
+        ]) == 0
+        for report in ("report.json", "report.md"):
+            digest = hashlib.sha256((out / report).read_bytes()).hexdigest()
+            assert digest == REPORT_SHA256[name, report], report
 
 
 class TestParserBehavior:

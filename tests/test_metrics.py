@@ -279,17 +279,10 @@ class TestRendering:
 
     def test_write_report_round_trip(self, tmp_path):
         report = evaluate(PREDICTIONS, RECORDS, "mta")
-        runs = [SimpleNamespace(prompt_tokens=100, response_tokens=50,
-                                latency_total=1.5, llm_calls=2,
-                                usage_approximate=True)]
-        usage = usage_summary(runs)
-        json_path, md_path = write_report(report, tmp_path / "out", usage)
+        json_path, md_path = write_report(report, tmp_path / "out")
         assert json_path.name == "report.json"
         assert md_path.name == "report.md"
         payload = json.loads(json_path.read_text(encoding="utf-8"))
         assert payload["overall_accuracy"]["mean"] == 62.5
-        assert payload["usage"]["mean_prompt_tokens"] == 100.0
-        assert payload["usage"]["usage_approximate"] is True
         text = md_path.read_text(encoding="utf-8")
-        assert text == render_markdown(report, usage)
-        assert "(approximate)" in text
+        assert text == render_markdown(report)

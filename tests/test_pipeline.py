@@ -74,6 +74,35 @@ class FailingTransport(ScriptedTransport):
         return super().send(request)
 
 
+class HoldingTransport(ScriptedTransport):
+    """Scripted backend whose third weigh send raises BackendError while the
+    first weigh send is held until that failure; `after` counts the weigh
+    sends that begin once the failure has been raised."""
+
+    def __init__(self):
+        super().__init__(fixture_script)
+        self.weighs = 0
+        self.after = 0
+        self.failed = threading.Event()
+        self._lock = threading.Lock()
+
+    def send(self, request):
+        if request.stage_tag != "weigh":
+            return super().send(request)
+        with self._lock:
+            self.weighs += 1
+            index = self.weighs
+            if self.failed.is_set():
+                self.after += 1
+        if index == 1:
+            assert self.failed.wait(10)
+            time.sleep(0.1)
+        elif index == 3:
+            self.failed.set()
+            raise BackendError("scripted failure")
+        return super().send(request)
+
+
 def completion_events(trace):
     return [e for e in trace if e["kind"] == "completion"]
 
@@ -489,6 +518,25 @@ class TestRunner:
         with pytest.raises(BackendError):
             run_experiment(mta_problems, ctx, repeats=1)
         assert len(late) <= concurrency - 1
+
+    @pytest.mark.parametrize("concurrency", [2, 4])
+    def test_fatal_send_stops_queued_weigh_cells(self, tmp_path, templates,
+                                                 dellma_problems, concurrency):
+        problem = next(p for p in dellma_problems if p.n_actions == 7)
+        transport = HoldingTransport()
+        gateway = LlmGateway(
+            GatewayConfig(mode="record", transcript_dir=tmp_path / "store"),
+            transport,
+        )
+        ctx = ExperimentContext(
+            PipelineConfig(mode="decisionflow", max_concurrency=concurrency),
+            gateway, templates,
+        )
+        with pytest.raises(BackendError):
+            run_experiment([problem], ctx)
+        # of the 11 weigh cells behind the failing one, only those already
+        # on their way to the backend may still be sent
+        assert transport.after <= concurrency - 1
 
     def test_usage_additivity_against_store(self, ctx_factory,
                                             bomber_problem):
