@@ -60,15 +60,20 @@ EXIT_INTERRUPTED = 130
 PIPELINE_KEYS = tuple(f.name for f in fields(PipelineConfig)
                       if f.name != "filter_policy")
 
+# config key -> the GatewayConfig field it sets, whose default it takes
+GATEWAY_KEYS = {
+    "transcripts": "transcript_dir",
+    "gateway_mode": "mode",
+    "base_url": "base_url",
+}
+
 DEFAULT_CONFIG = {
     "dataset": None,
     "dataset_kind": "mta",
-    "transcripts": "transcripts",
-    "gateway_mode": "replay",
     "out": None,
     "repeats": 1,
     "filter": {"kind": "threshold", "epsilon": 0.3},
-    "base_url": None,
+    **{key: getattr(GatewayConfig, name) for key, name in GATEWAY_KEYS.items()},
     **{key: getattr(PipelineConfig, key) for key in PIPELINE_KEYS},
 }
 
@@ -180,10 +185,7 @@ def build_context(resolved: dict) -> ExperimentContext:
         **{key: resolved[key] for key in PIPELINE_KEYS},
     )
     gateway_config = GatewayConfig(
-        mode=resolved["gateway_mode"],
-        transcript_dir=resolved["transcripts"],
-        base_url=resolved["base_url"],
-    )
+        **{name: resolved[key] for key, name in GATEWAY_KEYS.items()})
     gateway = LlmGateway(gateway_config, _make_transport(resolved))
     return ExperimentContext(pipeline_config, gateway, load_templates())
 
@@ -405,7 +407,10 @@ def _add_config_flags(parser, *, writes=True):
                         choices=("weights", "relevance"))
     parser.add_argument("--self-consistency-k", dest="self_consistency_k",
                         type=int)
-    parser.add_argument("--max-concurrency", dest="max_concurrency", type=int)
+    parser.add_argument(
+        "--max-concurrency", dest="max_concurrency", type=int,
+        help="worker threads in record mode; replay is CPU-bound, so it runs "
+             "on one thread whatever this says")
     parser.add_argument("--max-tokens", dest="max_tokens", type=int)
 
 

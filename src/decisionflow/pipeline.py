@@ -76,7 +76,8 @@ class PipelineConfig:
     temperature_sampling: float = 0.7
     self_consistency_k: int = 3
     max_tokens: int = DEFAULT_MAX_TOKENS
-    max_concurrency: int = 1
+    max_concurrency: int = 1  # worker threads in record mode; replay is
+    # CPU-bound and runs on one thread whatever this says
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -156,6 +157,15 @@ def _map(fn, items, workers):
     if errors:
         raise errors[0]
     return [future.result() for future in futures]
+
+
+def _workers(ctx) -> int:
+    """Threads for a map whose items call the gateway: max_concurrency in
+    record mode, where workers wait on the backend, and one in replay, which
+    is CPU-bound, so threads would only pass the GIL back and forth."""
+    if ctx.gateway.config.mode == "replay":
+        return 1
+    return ctx.config.max_concurrency
 
 
 def _call(ctx, trace, stage, name, request):
@@ -394,8 +404,9 @@ def _grid_payload(entries):
 def _weigh_cells(problem, ctx, table, trace, bias, constraints_text) -> WeightMatrix:
     """One weigh call per (action, attribute) cell, row-major.
 
-    Calls may run concurrently; trace events are emitted in row-major order
-    regardless, so the trace bytes do not depend on the concurrency setting.
+    Calls may run concurrently in record mode; trace events are emitted in
+    row-major order regardless, so the trace bytes do not depend on the
+    concurrency setting.
     """
     n, m = table.shape
     cells = [(i, j) for i in range(n) for j in range(m)]
@@ -410,8 +421,7 @@ def _weigh_cells(problem, ctx, table, trace, bias, constraints_text) -> WeightMa
             }))
         for (i, j) in cells
     ]
-    completions = _map(ctx.gateway.complete, requests,
-                       ctx.config.max_concurrency)
+    completions = _map(ctx.gateway.complete, requests, _workers(ctx))
 
     rows = [[0.0] * m for _ in range(n)]
     for (i, j), request, completion in zip(cells, requests, completions):
@@ -605,7 +615,8 @@ def execute_run(problem: DecisionProblem, ctx: ExperimentContext,
 
 def run_experiment(problems, ctx: ExperimentContext, repeats: int = 1,
                    interrupt=None) -> list[RunRecord]:
-    """Execute repeats x problems, optionally across a bounded thread pool.
+    """Execute repeats x problems, in record mode optionally across a bounded
+    thread pool (see `_workers`).
 
     Tasks start repeat-major: every problem's repeat 0 before any repeat 1.
     The deterministic stages of a later repeat send the same requests as
@@ -626,7 +637,7 @@ def run_experiment(problems, ctx: ExperimentContext, repeats: int = 1,
         index, repeat = task
         return execute_run(problems[index], ctx, repeat)
 
-    results = _map(run, tasks, ctx.config.max_concurrency)
+    results = _map(run, tasks, _workers(ctx))
     return [record for _, record in sorted(zip(tasks, results),
                                            key=lambda pair: pair[0])
             if record is not None]

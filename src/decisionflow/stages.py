@@ -147,13 +147,36 @@ REPAIR_PASSES = (
 )
 
 
+_DECODER = json.JSONDecoder()
+
+
 def extract_json_block(text: str) -> tuple[str, list[str]]:
     """Return the first well-delimited JSON object in ``text`` plus a repair log.
 
     The object inside a code fence is preferred over bare braces. Repairs are
     purely syntactic and bounded; if none of them produce valid JSON the raw
     text rides along on the error.
+
+    The first candidate is decoded as it stands before any walk: it starts at
+    the first '{' of the first fence block holding one, else of the whole
+    text. Valid JSON there is the slice the walk would return, so only a
+    completion that needs the walk or a repair pays for them.
     """
+    source = next((block for block in FENCE_RE.findall(text) if "{" in block),
+                  text)
+    start = source.find("{")
+    if start >= 0:
+        try:
+            _, end = _DECODER.raw_decode(source, start)
+            return source[start:end], []
+        except json.JSONDecodeError:
+            pass
+    return _walk_json_block(text)
+
+
+def _walk_json_block(text: str) -> tuple[str, list[str]]:
+    """`extract_json_block` by balanced walks over every candidate, with the
+    repair passes applied to each in turn."""
     candidates = []
     for block in FENCE_RE.findall(text):
         inner = _first_balanced_object(block)

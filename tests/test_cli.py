@@ -211,7 +211,14 @@ class TestRunCommand:
 
         monkeypatch.setattr(cli, "run_experiment", capture_event)
         monkeypatch.setattr(pipeline, "execute_run", execute_then_sigint)
-        config = make_config(tmp_path, max_concurrency=concurrency)
+        overrides = {}
+        if concurrency > 1:  # replay runs on one thread; record afresh
+            monkeypatch.setattr(cli, "_make_transport",
+                                lambda resolved: ScriptedTransport())
+            overrides = {"gateway_mode": "record",
+                         "transcripts": str(tmp_path / "store")}
+        config = make_config(tmp_path, max_concurrency=concurrency,
+                             **overrides)
         assert cli.main(["run", "--config", str(config)]) == \
             cli.EXIT_INTERRUPTED
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())

@@ -239,16 +239,29 @@ class TestReplayAndConcurrency:
         assert counts["opens"] == calls
 
     def test_concurrency_does_not_change_trace(self, ctx_factory,
-                                               bomber_problem):
+                                               bomber_problem, tmp_path):
         record_ctx = ctx_factory("decisionflow")
         run_problem(bomber_problem, record_ctx)
         serial = run_problem(
             bomber_problem, ctx_factory("decisionflow", gateway_mode="replay",
                                         max_concurrency=1))
+        # replay runs on one thread, so the threaded run records afresh
         threaded = run_problem(
-            bomber_problem, ctx_factory("decisionflow", gateway_mode="replay",
-                                        max_concurrency=4))
+            bomber_problem, ctx_factory("decisionflow", max_concurrency=4,
+                                        transcript_dir=tmp_path / "threaded"))
         assert json.dumps(serial.trace) == json.dumps(threaded.trace)
+
+    def test_replay_starts_no_thread(self, ctx_factory, mta_problems,
+                                     monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("replay started a thread pool")
+
+        monkeypatch.setattr(pipeline, "ThreadPoolExecutor", no_pool)
+        ctx = ctx_factory("decisionflow", gateway_mode="replay",
+                          transcript_dir=CORPUS_DIR, max_concurrency=4)
+        records = run_experiment(mta_problems, ctx)
+        assert len(records) == len(mta_problems)
+        assert not any(r.abstained for r in records)
 
     def test_tool_assisted_mode_reuses_structured_transcripts(
             self, ctx_factory, bomber_problem):
@@ -431,12 +444,13 @@ class TestRunner:
         assert all(r.mode == "zero_shot" for r in records)
 
     def test_experiment_parallel_matches_serial(self, ctx_factory,
-                                                mta_problems):
+                                                mta_problems, tmp_path):
         problems = mta_problems[:3]
         record_ctx = ctx_factory("zero_shot")
         serial = run_experiment(problems, record_ctx, repeats=1)
-        threaded_ctx = ctx_factory("zero_shot", gateway_mode="replay",
-                                   max_concurrency=4)
+        # replay runs on one thread, so the threaded run records afresh
+        threaded_ctx = ctx_factory("zero_shot", max_concurrency=4,
+                                   transcript_dir=tmp_path / "threaded")
         threaded = run_experiment(problems, threaded_ctx, repeats=1)
         assert [r.answer for r in threaded] == [r.answer for r in serial]
         assert [json.dumps(r.trace) for r in threaded] == \

@@ -4,9 +4,13 @@ import json
 import logging
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from conftest import CORPUS_DIR
+from decisionflow import stages
 from decisionflow.core import NOT_MENTIONED
-from decisionflow.errors import TemplateError
+from decisionflow.errors import DecisionFlowError, TemplateError
 from decisionflow.stages import (
     STAGES,
     StageTemplate,
@@ -166,3 +170,81 @@ class TestAttributeTableShape:
         payload, repairs = parse_json_payload('```json\n{"Weight": 0.4,}\n```')
         assert payload == {"Weight": 0.4}
         assert repairs == ["removed trailing commas"]
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=8)
+    | st.floats(allow_nan=False, allow_infinity=False),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=8,
+)
+# prose with the characters the walk treats specially, fence markers included
+prose = st.text(alphabet="ab {}[]\"',:`\n", max_size=24)
+
+
+@st.composite
+def completions(draw):
+    """A JSON object in prose, in one fence or among several, with braces or
+    quotes in the prose and sometimes a trailing comma put in."""
+    obj = draw(st.dictionaries(st.text(max_size=6), json_values, max_size=4))
+    block = json.dumps(obj, indent=draw(st.sampled_from([None, 2])))
+    if obj and draw(st.booleans()):
+        block = block[:-1].rstrip() + ",}"
+    layout = draw(st.sampled_from(["bare", "fence", "fences"]))
+    if layout == "fence":
+        block = f"```json\n{block}\n```"
+    elif layout == "fences":
+        other = json.dumps(draw(json_values))
+        block = draw(st.permutations(
+            [f"```\n{other}\n```", f"```json\n{block}\n```"]))
+        block = draw(prose).join(block)
+    return draw(prose) + block + draw(prose)
+
+
+def outcome(extract, text):
+    try:
+        return extract(text)
+    except DecisionFlowError as err:
+        return type(err)
+
+
+def corpus_completions():
+    return [json.loads(path.read_text(encoding="utf-8"))["response"]["text"]
+            for path in sorted(CORPUS_DIR.glob("*/*.json"))]
+
+
+class TestDecodeFirst:
+    """`extract_json_block` decodes its first candidate before any walk; the
+    walk-and-repair path is the reference it must match."""
+
+    @given(completions())
+    def test_matches_the_walk(self, text):
+        assert outcome(extract_json_block, text) == \
+            outcome(stages._walk_json_block, text)
+
+    def test_matches_the_walk_on_the_corpus(self):
+        texts = corpus_completions()
+        assert len(texts) > 300
+        for text in texts:
+            assert outcome(extract_json_block, text) == \
+                outcome(stages._walk_json_block, text), text
+
+    def test_valid_completions_skip_the_walk(self, monkeypatch):
+        clean = []
+        for text in corpus_completions():
+            result = outcome(stages._walk_json_block, text)
+            if isinstance(result, tuple) and result[1] == []:
+                clean.append(text)
+        assert len(clean) > 200
+        walks = []
+        walk = stages._first_balanced_object
+
+        def counting(text):
+            walks.append(text)
+            return walk(text)
+
+        monkeypatch.setattr(stages, "_first_balanced_object", counting)
+        for text in clean:
+            extract_json_block(text)
+        assert walks == []
