@@ -141,17 +141,22 @@ class TranscriptStore:
         return self.path_for(digest).is_file()
 
     def read(self, digest: str) -> dict | None:
-        """The stored entry, or None when there is none."""
+        """The stored entry, or None when there is none; TranscriptCorruptError
+        when the file holds anything but a JSON object."""
         path = self.path_for(digest)
         try:
             with open(path, encoding="utf-8") as fh:
-                return json.load(fh)
+                entry = json.load(fh)
         except FileNotFoundError:
             return None
         except (json.JSONDecodeError, UnicodeDecodeError) as err:
             raise TranscriptCorruptError(
                 f"transcript {path} is not valid JSON: {err}"
             ) from err
+        if not isinstance(entry, dict):
+            raise TranscriptCorruptError(
+                f"transcript {path} holds {type(entry).__name__}, not a JSON object")
+        return entry
 
     def write(self, digest: str, entry: dict) -> None:
         """Atomic write: temp file in the destination directory, then rename."""

@@ -2,10 +2,20 @@
 
 Rendering fills ``{placeholder}`` slots in plain-text templates; literal JSON
 examples survive because only lowercase identifier tokens are treated as
-placeholders. Parsing recovers a JSON object from a completion, applying a
-bounded set of syntactic repairs (trailing commas, bare keys, single quotes),
-each logged. Semantic guessing is out of scope: a completion that does not
-carry the expected fields fails with a classified error.
+placeholders. A template is split at its placeholders once, on its first
+render, and every later render joins the pieces.
+
+Parsing recovers a JSON object from a completion, applying a bounded set of
+syntactic repairs (trailing commas, bare keys, single quotes), each logged.
+Fence blocks are the odd pieces of ``text.split("```")`` that a later fence
+closes, less a leading ``json`` tag and leading whitespace. The object in a
+fence is preferred over bare braces, and its first candidate is decoded
+with ``json.JSONDecoder.raw_decode`` before any walk. Only when that fails
+does a balanced-brace walk run; it jumps between the five characters that
+can change its state (braces, both quotes and backslash) rather than
+stepping through every character. Semantic guessing is out of scope: a
+completion that does not carry the expected fields fails with a classified
+error.
 """
 
 from __future__ import annotations
@@ -15,6 +25,7 @@ import logging
 import math
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from importlib import resources
 from pathlib import Path
 from typing import Mapping
@@ -36,7 +47,8 @@ log = logging.getLogger(__name__)
 STAGES = tuple(tag for tag in STAGE_TAGS if tag != "self_consistency")
 
 PLACEHOLDER_RE = re.compile(r"\{([a-z][a-z0-9_]*)\}")
-FENCE_RE = re.compile(r"```(?:json)?\s*(.*?)```", re.DOTALL)
+# the characters that can change the state of the balanced-brace walk
+WALK_RE = re.compile(r"""[{}"'\\]""")
 TRAILING_COMMA_RE = re.compile(r",(\s*[}\]])")
 BARE_KEY_RE = re.compile(r"([{,]\s*)([A-Za-z_][A-Za-z0-9_]*)(\s*:)")
 
@@ -46,8 +58,18 @@ class StageTemplate:
     stage: str
     body: str
 
+    @cached_property
+    def pieces(self) -> tuple[str, ...]:
+        """The body split at its placeholders: literal text at even indices,
+        placeholder names at odd ones. Computed once per template."""
+        return tuple(PLACEHOLDER_RE.split(self.body))
+
+    @cached_property
+    def placeholder_names(self) -> tuple[str, ...]:
+        return tuple(sorted(set(self.pieces[1::2])))
+
     def placeholders(self) -> set[str]:
-        return set(PLACEHOLDER_RE.findall(self.body))
+        return set(self.placeholder_names)
 
 
 def load_templates(directory: str | Path | None = None) -> dict[str, StageTemplate]:
@@ -69,36 +91,41 @@ def load_templates(directory: str | Path | None = None) -> dict[str, StageTempla
 
 def render_stage_prompt(template: StageTemplate, context: Mapping[str, object]) -> str:
     """Substitute every placeholder; a missing one is an error naming it."""
-    missing = [name for name in sorted(template.placeholders()) if name not in context]
+    missing = [name for name in template.placeholder_names if name not in context]
     if missing:
         raise TemplateError(
             f"stage '{template.stage}' is missing placeholder value(s): "
             + ", ".join(missing)
         )
-    return PLACEHOLDER_RE.sub(lambda m: str(context[m.group(1)]), template.body)
+    pieces = list(template.pieces)
+    pieces[1::2] = [str(context[name]) for name in pieces[1::2]]
+    return "".join(pieces)
 
 
 def _first_balanced_object(text: str) -> str | None:
-    """Slice of text from the first '{' to its string-aware matching '}'."""
+    """Slice of text from the first '{' to its string-aware matching '}'.
+
+    Inside a string a backslash escapes the character after it; outside one
+    it is an ordinary character.
+    """
     start = text.find("{")
     if start < 0:
         return None
     depth = 0
-    in_string = False
-    quote = ""
-    escaped = False
-    for pos in range(start, len(text)):
+    quote = ""  # the quote of the open string; empty outside a string
+    escaped = -1  # the position a backslash in a string escapes
+    for match in WALK_RE.finditer(text, start):
+        pos = match.start()
+        if pos == escaped:
+            continue
         ch = text[pos]
-        if in_string:
-            if escaped:
-                escaped = False
-            elif ch == "\\":
-                escaped = True
+        if quote:
+            if ch == "\\":
+                escaped = pos + 1
             elif ch == quote:
-                in_string = False
+                quote = ""
             continue
         if ch in "\"'":
-            in_string = True
             quote = ch
         elif ch == "{":
             depth += 1
@@ -150,6 +177,17 @@ REPAIR_PASSES = (
 _DECODER = json.JSONDecoder()
 
 
+def _fence_blocks(text: str) -> list[str]:
+    """The body of every closed ``` fence in text, less a leading ``json``
+    tag and the whitespace after it."""
+    blocks = []
+    for block in text.split("```")[1:-1:2]:
+        if block.startswith("json"):
+            block = block[4:]
+        blocks.append(block.lstrip())
+    return blocks
+
+
 def extract_json_block(text: str) -> tuple[str, list[str]]:
     """Return the first well-delimited JSON object in ``text`` plus a repair log.
 
@@ -162,7 +200,7 @@ def extract_json_block(text: str) -> tuple[str, list[str]]:
     text. Valid JSON there is the slice the walk would return, so only a
     completion that needs the walk or a repair pays for them.
     """
-    source = next((block for block in FENCE_RE.findall(text) if "{" in block),
+    source = next((block for block in _fence_blocks(text) if "{" in block),
                   text)
     start = source.find("{")
     if start >= 0:
@@ -178,7 +216,7 @@ def _walk_json_block(text: str) -> tuple[str, list[str]]:
     """`extract_json_block` by balanced walks over every candidate, with the
     repair passes applied to each in turn."""
     candidates = []
-    for block in FENCE_RE.findall(text):
+    for block in _fence_blocks(text):
         inner = _first_balanced_object(block)
         if inner is not None:
             candidates.append(inner)
@@ -278,11 +316,16 @@ def parse_extraction(text: str, actions) -> list[str]:
 
 def match_action(name: str, actions) -> int | None:
     """Resolve a variable name to an action index by normalized substring."""
+    return _match_canonical(name, [canonical_name(label) for label in actions])
+
+
+def _match_canonical(name: str, canon_actions: list[str]) -> int | None:
+    """`match_action` against action labels already canonicalised, so that a
+    parser canonicalises its labels once rather than once per entry."""
     canon = canonical_name(name)
     if not canon:
         return None
-    for i, label in enumerate(actions):
-        canon_label = canonical_name(label)
+    for i, canon_label in enumerate(canon_actions):
         if canon in canon_label or canon_label in canon:
             return i
     return None
@@ -338,6 +381,7 @@ def parse_attribute_table(text: str, actions) -> AttributeTable:
         raise SchemaError("'Variable' must be an array", raw=text)
 
     actions = tuple(actions)
+    canon_actions = [canonical_name(label) for label in actions]
     attr_order: list[str] = []
     attr_display: dict[str, str] = {}
     filled: dict[tuple[int, str], str] = {}
@@ -347,7 +391,7 @@ def parse_attribute_table(text: str, actions) -> AttributeTable:
         name = entry.get("Variable", entry.get("variable"))
         if not isinstance(name, str) or not name.strip():
             raise SchemaError("variable entry lacks a name", raw=text)
-        index = match_action(name, actions)
+        index = _match_canonical(name, canon_actions)
         if index is None:
             raise AlignmentError(
                 f"variable {name!r} matches no action; candidates: {list(actions)}",
@@ -440,6 +484,7 @@ def parse_grounding(text: str, table: AttributeTable, surviving) -> tuple:
         raise SchemaError("'Scores' must be an array", raw=text)
 
     canon_attrs = {canonical_name(a): j for j, a in enumerate(table.attributes)}
+    canon_actions = [canonical_name(label) for label in table.actions]
     scored: dict[tuple[int, int], float] = {}
     for item in items:
         if not isinstance(item, dict):
@@ -448,7 +493,7 @@ def parse_grounding(text: str, table: AttributeTable, surviving) -> tuple:
         attr = item.get("Attribute", item.get("attribute"))
         if not isinstance(var, str) or not isinstance(attr, str):
             raise SchemaError("score entry lacks Variable/Attribute names", raw=text)
-        i = match_action(var, table.actions)
+        i = _match_canonical(var, canon_actions)
         j = canon_attrs.get(canonical_name(attr))
         if i is None or j is None:
             log.warning("score for unknown cell (%r, %r) ignored", var, attr)

@@ -284,22 +284,27 @@ class TestReplayMode:
 
 def _tamper_request(entry):
     entry["request"]["prompt"] = "tampered"
+    return entry
 
 
 def _drop_usage(entry):
     del entry["usage"]
+    return entry
 
 
 def _drop_response(entry):
     del entry["response"]
+    return entry
 
 
 def _number_text(entry):
     entry["response"]["text"] = 42
+    return entry
 
 
 def _negative_latency(entry):
     entry["latency"] = -1.0
+    return entry
 
 
 class NoSendTransport:
@@ -309,15 +314,14 @@ class NoSendTransport:
 
 @pytest.mark.parametrize("tamper", [
     _tamper_request, _drop_usage, _drop_response, _number_text,
-    _negative_latency,
+    _negative_latency, lambda entry: None, lambda entry: [entry],
 ], ids=["tampered_request", "missing_usage", "missing_response",
-        "non_string_text", "negative_latency"])
+        "non_string_text", "negative_latency", "null", "array"])
 def test_malformed_entry_is_rejected_where_it_is_read(tmp_path, capsys, tamper):
     store = TranscriptStore(tmp_path)
-    entry = _entry_for(REQ, "ok")
-    tamper(entry)
-    store.write(REQ.digest, entry)
-    path = str(store.path_for(REQ.digest))
+    store.write(REQ.digest, tamper(_entry_for(REQ, "ok")))
+    path = store.path_for(REQ.digest)
+    stored = path.read_bytes()
 
     for gw in (
         LlmGateway(GatewayConfig(mode="replay", transcript_dir=tmp_path)),
@@ -326,11 +330,12 @@ def test_malformed_entry_is_rejected_where_it_is_read(tmp_path, capsys, tamper):
     ):
         with pytest.raises(TranscriptCorruptError) as err:
             gw.complete(REQ)
-        assert path in str(err.value)
+        assert str(path) in str(err.value)
         assert gw.cache_hits == 0
+        assert path.read_bytes() == stored
 
     assert cli.main(["replay-verify", "--transcripts", str(tmp_path)]) == 1
-    assert path in capsys.readouterr().err
+    assert str(path) in capsys.readouterr().err
 
 
 class FlakyTransport:

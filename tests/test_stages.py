@@ -2,14 +2,15 @@
 
 import json
 import logging
+import re
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import CORPUS_DIR
 from decisionflow import stages
-from decisionflow.core import NOT_MENTIONED
+from decisionflow.core import NOT_MENTIONED, AttributeTable, RelevanceCell
 from decisionflow.errors import DecisionFlowError, TemplateError
 from decisionflow.stages import (
     STAGES,
@@ -18,6 +19,7 @@ from decisionflow.stages import (
     load_templates,
     parse_attribute_table,
     parse_extraction,
+    parse_grounding,
     parse_json_payload,
     parse_weight,
     render_stage_prompt,
@@ -90,6 +92,32 @@ class TestRendering:
         t = StageTemplate("cot", "S={scenario}")
         assert render_stage_prompt(t, {"scenario": "x", "unused": "y"}) == "S=x"
 
+    def test_matches_a_substitution_on_every_packaged_template(self):
+        for template in load_templates().values():
+            context = {name: f"<{name} {{x}} \\1>"
+                       for name in template.placeholders()}
+            expected = stages.PLACEHOLDER_RE.sub(
+                lambda m: context[m.group(1)], template.body)
+            assert render_stage_prompt(template, context) == expected
+
+    def test_each_template_is_scanned_once(self, monkeypatch):
+        scans = []
+
+        class CountingPattern:
+            def __getattr__(self, name):
+                scans.append(name)
+                return getattr(pattern, name)
+
+        pattern = stages.PLACEHOLDER_RE
+        monkeypatch.setattr(stages, "PLACEHOLDER_RE", CountingPattern())
+        t = StageTemplate("cot", "S={scenario} B={bias} S={scenario}")
+        for i in range(20):
+            assert render_stage_prompt(t, {"scenario": i, "bias": "b"}) == \
+                f"S={i} B=b S={i}"
+            with pytest.raises(TemplateError):
+                render_stage_prompt(t, {"scenario": i})
+        assert len(scans) == 1
+
 
 class TestParserCorpus:
     def test_corpus_is_large_enough(self):
@@ -140,6 +168,52 @@ class TestParserWarnings:
             table = parse_attribute_table(text, ("alpha", "beta"))
         assert table.cells[0][0].verbal == "low"
         assert any("duplicate attribute" in rec.message for rec in caplog.records)
+
+
+class TestLabelsCanonicalisedOncePerParse:
+    """A parser canonicalises each action label once, not once per entry."""
+
+    ACTIONS = tuple(f"Action number {i}" for i in range(8))
+    ATTRS = tuple(f"Attribute {j}" for j in range(8))
+
+    def count_canonical_calls(self, monkeypatch, parse):
+        calls = []
+        canonical = stages.canonical_name
+
+        def counting(text):
+            calls.append(text)
+            return canonical(text)
+
+        monkeypatch.setattr(stages, "canonical_name", counting)
+        result = parse()
+        return result, len(calls)
+
+    def test_attribute_table(self, monkeypatch):
+        entries = [{"Variable": f"action number {i}",
+                    "Attribute": [{"Attribute": a, "Value": "v"}
+                                  for a in self.ATTRS]}
+                   for i in reversed(range(len(self.ACTIONS)))]
+        text = json.dumps({"Variable": entries})
+        table, calls = self.count_canonical_calls(
+            monkeypatch, lambda: parse_attribute_table(text, self.ACTIONS))
+        assert table.attributes == self.ATTRS
+        assert all(cell.verbal == "v" for row in table.cells for cell in row)
+        items = len(entries) * (1 + len(self.ATTRS))
+        assert calls <= items + len(self.ACTIONS)
+
+    def test_grounding(self, monkeypatch):
+        n, m = len(self.ACTIONS), len(self.ATTRS)
+        table = AttributeTable(
+            actions=self.ACTIONS, attributes=self.ATTRS,
+            cells=tuple(tuple(RelevanceCell("v") for _ in range(m))
+                        for _ in range(n)))
+        scores = [{"Variable": f"action number {i}", "Attribute": a,
+                   "Score": 0.5} for i in reversed(range(n)) for a in self.ATTRS]
+        text = json.dumps({"Scores": scores})
+        grid, calls = self.count_canonical_calls(
+            monkeypatch, lambda: parse_grounding(text, table, []))
+        assert grid == ((0.5,) * m,) * n
+        assert calls <= 2 * len(scores) + n + m
 
 
 class TestAttributeTableShape:
@@ -248,3 +322,83 @@ class TestDecodeFirst:
         for text in clean:
             extract_json_block(text)
         assert walks == []
+
+
+# the extraction code before fences were split and the walk jumped: the
+# references the faster code must match
+OLD_FENCE_RE = re.compile(r"```(?:json)?\s*(.*?)```", re.DOTALL)
+
+
+def old_first_balanced_object(text):
+    start = text.find("{")
+    if start < 0:
+        return None
+    depth = 0
+    in_string = False
+    quote = ""
+    escaped = False
+    for pos in range(start, len(text)):
+        ch = text[pos]
+        if in_string:
+            if escaped:
+                escaped = False
+            elif ch == "\\":
+                escaped = True
+            elif ch == quote:
+                in_string = False
+            continue
+        if ch in "\"'":
+            in_string = True
+            quote = ch
+        elif ch == "{":
+            depth += 1
+        elif ch == "}":
+            depth -= 1
+            if depth == 0:
+                return text[start : pos + 1]
+    return None
+
+
+# the characters that steer the walk, densely, and the fence split's tokens:
+# "json" and its prefixes, whole fences, and whitespace that only Unicode
+# calls whitespace
+walk_texts = st.text(alphabet="{}\"'\\a", max_size=30)
+fence_texts = st.lists(st.sampled_from([
+    "`", "```", "json", "jso", "js", "{", "}", '"', "\\", ",", ":", "\n", " ",
+    "a", "\x1c", "\x85", "\u2003",
+]), max_size=30).map("".join)
+
+
+class TestFencesAndWalk:
+    """`_fence_blocks` and the jumping walk against the code they replaced."""
+
+    @settings(max_examples=300)
+    @given(fence_texts)
+    @example("```jsoa``` ```json\u2003\x85{```")
+    def test_fence_blocks_match_the_regex(self, text):
+        assert stages._fence_blocks(text) == OLD_FENCE_RE.findall(text)
+
+    @settings(max_examples=300)
+    @given(walk_texts | fence_texts)
+    @example("""{"\\\\"}""")
+    @example("""{'\\'}'}""")
+    @example("""{a\\"}"}""")
+    def test_walk_matches_the_character_walk(self, text):
+        assert stages._first_balanced_object(text) == \
+            old_first_balanced_object(text)
+
+    @given(completions())
+    def test_both_match_on_completions(self, text):
+        assert stages._fence_blocks(text) == OLD_FENCE_RE.findall(text)
+        assert stages._first_balanced_object(text) == \
+            old_first_balanced_object(text)
+
+    def test_both_match_on_the_corpus(self):
+        texts = corpus_completions()
+        assert len(texts) > 300
+        for text in texts:
+            blocks = stages._fence_blocks(text)
+            assert blocks == OLD_FENCE_RE.findall(text), text
+            for piece in [text, *blocks]:
+                assert stages._first_balanced_object(piece) == \
+                    old_first_balanced_object(piece), piece
