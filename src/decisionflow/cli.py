@@ -15,7 +15,7 @@ import logging
 import signal
 import sys
 import threading
-from dataclasses import asdict, fields
+from dataclasses import asdict, fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -199,32 +199,15 @@ def _load_problems(resolved):
     return records, problems_from_records(records, resolved["dataset_kind"])
 
 
-def _trace_path(traces_dir: Path, record) -> Path:
-    return traces_dir / f"{record.problem_id}__r{record.repeat}.json"
-
-
-def _attempt_indices(trace) -> list[int]:
-    return [event["payload"]["attempt"] for event in trace
-            if event["kind"] == "completion"]
-
-
 def _write_run_outputs(out_dir: Path, resolved, records, run_records, gateway,
                        interrupted: bool):
-    out_dir.mkdir(parents=True, exist_ok=True)
+    """Write predictions, then the manifest; the traces are already written."""
     rows = [
         PredictionRow(record_id=r.problem_id, mode=r.mode, repeat=r.repeat,
                       answer=r.answer)
         for r in run_records
     ]
     write_predictions(rows, out_dir / "predictions.jsonl")
-
-    traces_dir = out_dir / "traces"
-    traces_dir.mkdir(exist_ok=True)
-    for record in run_records:
-        _trace_path(traces_dir, record).write_text(
-            json.dumps(list(record.trace), indent=2, ensure_ascii=False) + "\n",
-            encoding="utf-8",
-        )
 
     manifest = {
         "created_at": datetime.now(timezone.utc).isoformat(),
@@ -255,7 +238,7 @@ def _write_run_outputs(out_dir: Path, resolved, records, run_records, gateway,
                 "response_tokens": r.response_tokens,
                 "latency_total": r.latency_total,
                 "wall_time": r.wall_time,
-                "attempts": _attempt_indices(r.trace),
+                "attempts": r.attempts,
             }
             for r in run_records
         ],
@@ -272,6 +255,17 @@ def cmd_run(args) -> int:
         raise ValueError("no output directory given (config key 'out' or --out)")
     records, problems = _load_problems(resolved)
     ctx = build_context(resolved)
+    out_dir = Path(resolved["out"])
+    traces_dir = out_dir / "traces"
+    traces_dir.mkdir(parents=True, exist_ok=True)
+
+    def write_trace(record):
+        path = traces_dir / f"{record.problem_id}__r{record.repeat}.json"
+        path.write_text(
+            json.dumps(list(record.trace), indent=2, ensure_ascii=False) + "\n",
+            encoding="utf-8",
+        )
+        return replace(record, trace=())
 
     interrupt = threading.Event()
 
@@ -286,14 +280,14 @@ def cmd_run(args) -> int:
         pass  # not the main thread; run uninterruptible
     try:
         run_records = run_experiment(problems, ctx, resolved["repeats"],
-                                     interrupt)
+                                     interrupt, write_trace)
     finally:
         if previous is not None:
             signal.signal(signal.SIGINT, previous)
 
     interrupted = interrupt.is_set()
-    _write_run_outputs(Path(resolved["out"]), resolved, records, run_records,
-                       ctx.gateway, interrupted)
+    _write_run_outputs(out_dir, resolved, records, run_records, ctx.gateway,
+                       interrupted)
 
     abstained = sum(1 for r in run_records if r.abstained)
     for record in run_records:
@@ -301,7 +295,7 @@ def cmd_run(args) -> int:
             else f"answer {record.answer}"
         print(f"{record.problem_id} repeat {record.repeat}: {status}")
     print(
-        f"{len(run_records)} runs -> {Path(resolved['out'])} "
+        f"{len(run_records)} runs -> {out_dir} "
         f"({abstained} abstentions, {ctx.gateway.live_calls} live calls, "
         f"{ctx.gateway.cache_hits} cache hits)"
     )
@@ -335,13 +329,12 @@ def cmd_sweep(args) -> int:
         raise ValueError(f"empty sweep grid {args.grid!r}")
     records, problems = _load_problems(resolved)
     ctx = build_context(resolved)
+    out_dir = Path(resolved["out"])
+    out_dir.mkdir(parents=True, exist_ok=True)
     settings = kernel_sweep(problems, ctx, policies)
     report = sweep_report(settings, records, resolved["dataset_kind"])
     report["config_digest"] = config_digest(resolved)
     report["live_calls"] = ctx.gateway.live_calls
-
-    out_dir = Path(resolved["out"])
-    out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "sweep.json").write_text(
         json.dumps(report, indent=2, sort_keys=True, ensure_ascii=False) + "\n",
         encoding="utf-8",

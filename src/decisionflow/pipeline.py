@@ -136,12 +136,14 @@ def _record_call(trace, stage, name, request, completion):
     }))
 
 
-def _map(fn, items, workers):
-    """[fn(item) for item in items], on a pool of ``workers`` threads when
-    both exceed one. Once an item raises, no further item starts; the items
-    already running finish, then the first error is raised."""
+def _map(fn, items, workers, then=lambda result: result):
+    """[then(fn(item)) for item in items], fn on a pool of ``workers`` threads
+    when both exceed one. ``then`` runs on the calling thread in item order:
+    right after each item when serial, once the pool has drained otherwise.
+    Once an item raises, no further item starts; the items already running
+    finish, then the first error is raised."""
     if workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
+        return [then(fn(item)) for item in items]
     errors = []
 
     def run(item):
@@ -156,7 +158,7 @@ def _map(fn, items, workers):
         futures = [pool.submit(run, item) for item in items]
     if errors:
         raise errors[0]
-    return [future.result() for future in futures]
+    return [then(future.result()) for future in futures]
 
 
 def _workers(ctx) -> int:
@@ -543,7 +545,12 @@ def _self_consistency(problem, ctx, prompt, trace, repeat) -> DecisionOutcome:
 
 @dataclass(frozen=True)
 class RunRecord:
-    """Bookkeeping for one (problem, repeat) execution."""
+    """Bookkeeping for one (problem, repeat) execution.
+
+    ``attempts`` lists the attempt index of each completion event, in trace
+    order. ``trace`` holds the run's events until a consumer takes them:
+    `cli` writes each trace file as its run finishes and keeps the record
+    with ``trace=()``."""
 
     problem_id: str
     mode: str
@@ -557,6 +564,7 @@ class RunRecord:
     latency_total: float
     wall_time: float
     usage_approximate: bool
+    attempts: tuple[int, ...]
     trace: tuple[dict, ...] = field(repr=False, default=())
 
 
@@ -596,6 +604,8 @@ def execute_run(problem: DecisionProblem, ctx: ExperimentContext,
                     problem.problem_id, ctx.config.mode, repeat, err)
     wall = time.perf_counter() - started
     prompt_tokens, response_tokens, calls, latency, approximate = usage_totals(trace)
+    attempts = tuple(event["payload"]["attempt"] for event in trace
+                     if event["kind"] == "completion")
     return RunRecord(
         problem_id=problem.problem_id,
         mode=ctx.config.mode,
@@ -609,12 +619,13 @@ def execute_run(problem: DecisionProblem, ctx: ExperimentContext,
         latency_total=latency,
         wall_time=wall,
         usage_approximate=approximate,
+        attempts=attempts,
         trace=tuple(trace),
     )
 
 
 def run_experiment(problems, ctx: ExperimentContext, repeats: int = 1,
-                   interrupt=None) -> list[RunRecord]:
+                   interrupt=None, on_record=None) -> list[RunRecord]:
     """Execute repeats x problems, in record mode optionally across a bounded
     thread pool (see `_workers`).
 
@@ -626,6 +637,8 @@ def run_experiment(problems, ctx: ExperimentContext, repeats: int = 1,
     once it is set no further task starts, tasks already running finish, and
     the records of the finished tasks are returned, in that same order. A
     fatal error stops further tasks the same way (see `_map`), then is raised.
+    `on_record`, if given, maps each finished record to the one returned; it
+    runs on the calling thread, in start order, as `_map` applies ``then``.
     """
     # (problem index, repeat), in start order
     tasks = [(index, repeat) for repeat in range(repeats)
@@ -637,7 +650,12 @@ def run_experiment(problems, ctx: ExperimentContext, repeats: int = 1,
         index, repeat = task
         return execute_run(problems[index], ctx, repeat)
 
-    results = _map(run, tasks, _workers(ctx))
+    def finish(record):
+        if record is None or on_record is None:
+            return record
+        return on_record(record)
+
+    results = _map(run, tasks, _workers(ctx), finish)
     return [record for _, record in sorted(zip(tasks, results),
                                            key=lambda pair: pair[0])
             if record is not None]

@@ -7,6 +7,7 @@ import json
 import signal
 import threading
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -187,9 +188,9 @@ class TestRunCommand:
         events = []
         run_experiment = cli.run_experiment
 
-        def capture_event(problems, ctx, repeats, interrupt):
+        def capture_event(problems, ctx, repeats, interrupt, *rest):
             events.append(interrupt)
-            return run_experiment(problems, ctx, repeats, interrupt)
+            return run_experiment(problems, ctx, repeats, interrupt, *rest)
 
         execute = pipeline.execute_run
         first = threading.Lock()
@@ -277,6 +278,147 @@ class TestRunCommand:
         )
         assert cli.main(["run", "--config", str(config)]) == 1
         assert "no recorded transcript" in capsys.readouterr().err
+
+
+def count_runs(monkeypatch) -> list:
+    """Wrap pipeline.execute_run; the list gets the (problem id, repeat) of
+    each run as it starts."""
+    started = []
+    execute = pipeline.execute_run
+
+    def counting(problem, ctx, repeat=0):
+        started.append((problem.problem_id, repeat))
+        return execute(problem, ctx, repeat)
+
+    monkeypatch.setattr(pipeline, "execute_run", counting)
+    return started
+
+
+def trace_files(out: Path) -> dict[str, bytes]:
+    return {p.name: p.read_bytes() for p in (out / "traces").glob("*.json")}
+
+
+class TestTraceOutput:
+    """`run` writes each trace file when its run finishes and keeps no trace
+    after writing it; the manifest is written last."""
+
+    def test_traces_are_written_as_each_run_finishes(self, tmp_path,
+                                                     monkeypatch):
+        out = tmp_path / "out"
+        seen = []  # trace files present as each run starts
+        execute = pipeline.execute_run
+
+        def snapshot_then_execute(problem, ctx, repeat=0):
+            seen.append(((problem.problem_id, repeat), trace_files(out)))
+            return execute(problem, ctx, repeat)
+
+        returned = []
+        run_experiment = cli.run_experiment
+
+        def capture_records(*args):
+            returned.extend(run_experiment(*args))
+            return returned
+
+        monkeypatch.setattr(pipeline, "execute_run", snapshot_then_execute)
+        monkeypatch.setattr(cli, "run_experiment", capture_records)
+        config = make_config(tmp_path, repeats=2)
+        assert cli.main(["run", "--config", str(config)]) == 0
+
+        final = trace_files(out)
+        assert len(seen) == len(final) == 24
+        for k, (_, present) in enumerate(seen):
+            names = {f"{pid}__r{repeat}.json" for (pid, repeat), _ in seen[:k]}
+            assert set(present) == names
+            assert all(data == final[name] for name, data in present.items())
+        assert len(returned) == 24
+        assert all(record.trace == () for record in returned)
+
+    def test_memory_does_not_grow_with_the_runs(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(REPO_ROOT)
+        config = str(CONFIG_DIR / "replay_mta_decisionflow.json")
+
+        def peak(repeats):
+            out = tmp_path / f"r{repeats}"
+            argv = ["run", "--config", config, "--out", str(out),
+                    "--repeats", str(repeats)]
+            tracemalloc.start()
+            try:
+                assert cli.main(argv) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert cli.main(["run", "--config", config,
+                         "--out", str(tmp_path / "warm")]) == 0
+        per_run = (peak(4) - peak(1)) / 36  # 12 problems x 3 more repeats
+        assert per_run < 10 * 1024, per_run
+
+    def test_replay_miss_leaves_the_finished_traces(self, tmp_path):
+        full = tmp_path / "full"
+        assert cli.main(["run", "--config", str(make_config(tmp_path)),
+                         "--out", str(full)]) == 0
+        lines = (DATASET_DIR / "mta_small.jsonl").read_text(
+            encoding="utf-8").splitlines()
+        unrecorded = json.loads(lines[0])
+        unrecorded["id"] = "mta-unrecorded"
+        unrecorded["scenario"] += " Nobody recorded this one."
+        dataset = tmp_path / "later_miss.jsonl"
+        dataset.write_text("\n".join([*lines, json.dumps(unrecorded)]) + "\n",
+                           encoding="utf-8")
+        config = make_config(tmp_path, "miss.json", dataset=str(dataset))
+        assert cli.main(["run", "--config", str(config)]) == 1
+        out = tmp_path / "out"
+        assert not (out / "manifest.json").exists()
+        assert not (out / "predictions.jsonl").exists()
+        assert trace_files(out) == trace_files(full)
+        assert len(trace_files(out)) == 12
+
+    def test_failed_trace_write_starts_no_further_run(self, tmp_path,
+                                                      monkeypatch, capsys):
+        started = count_runs(monkeypatch)
+        write_text = Path.write_text
+        writes = []
+
+        def fail_second_trace(path, *args, **kwargs):
+            if path.parent.name == "traces":
+                writes.append(path.name)
+                if len(writes) == 2:
+                    raise OSError(f"disk full writing {path.name}")
+            return write_text(path, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "write_text", fail_second_trace)
+        config = make_config(tmp_path)
+        assert cli.main(["run", "--config", str(config)]) == 1
+        assert "disk full" in capsys.readouterr().err
+        assert len(started) == 2
+        assert len(trace_files(tmp_path / "out")) == 1
+        assert not (tmp_path / "out" / "manifest.json").exists()
+
+    def test_unusable_out_fails_before_the_first_run(self, tmp_path,
+                                                     monkeypatch):
+        started = count_runs(monkeypatch)
+        taken = tmp_path / "taken"
+        taken.write_text("a file, not a directory\n", encoding="utf-8")
+        config = make_config(tmp_path, out=str(taken))
+        assert cli.main(["run", "--config", str(config)]) == 1
+        assert started == []
+
+    def test_unusable_out_fails_before_the_first_sweep_call(self, tmp_path,
+                                                            monkeypatch):
+        calls = []
+        complete = LlmGateway.complete
+
+        def counting(gateway, request):
+            calls.append(request.digest)
+            return complete(gateway, request)
+
+        monkeypatch.setattr(LlmGateway, "complete", counting)
+        taken = tmp_path / "taken"
+        taken.write_text("a file, not a directory\n", encoding="utf-8")
+        config = make_config(tmp_path, out=str(taken))
+        assert cli.main(["sweep", "--config", str(config),
+                         "--grid", "epsilon=0.3"]) == 1
+        assert calls == []
 
 
 class TestEvalCommand:
