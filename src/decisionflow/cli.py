@@ -67,28 +67,10 @@ GATEWAY_KEYS = {
     "base_url": "base_url",
 }
 
-DEFAULT_CONFIG = {
-    "dataset": None,
-    "dataset_kind": "mta",
-    "out": None,
-    "repeats": 1,
-    "filter": {"kind": "threshold", "epsilon": 0.3},
-    **{key: getattr(GatewayConfig, name) for key, name in GATEWAY_KEYS.items()},
-    **{key: getattr(PipelineConfig, key) for key in PIPELINE_KEYS},
-}
-
-
-class _Parser(argparse.ArgumentParser):
-    """argparse exits with 2 on usage errors; 2 means partial success here,
-    so usage problems are remapped to the fatal exit code."""
-
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(EXIT_FATAL, f"{self.prog}: error: {message}\n")
-
 
 def parse_filter_spec(value) -> dict:
-    """Normalize a filter setting (dict or compact string) to a spec dict.
+    """Normalize a filter setting (dict or compact string) to a spec dict,
+    whose keys are FilterPolicy fields.
 
     Accepted strings: "none", "epsilon=0.3", "top_k=2", "top2".
     """
@@ -113,12 +95,24 @@ def parse_filter_spec(value) -> dict:
     raise ValueError(f"cannot parse filter spec {text!r}")
 
 
-def policy_from_spec(spec: dict) -> FilterPolicy:
-    if spec["kind"] == "threshold":
-        return FilterPolicy.threshold(spec["epsilon"])
-    if spec["kind"] == "top_k":
-        return FilterPolicy.top_k(spec["k"])
-    return FilterPolicy.none()
+DEFAULT_CONFIG = {
+    "dataset": None,
+    "dataset_kind": "mta",
+    "out": None,
+    "repeats": 1,
+    "filter": parse_filter_spec(PipelineConfig.filter_policy.label()),
+    **{key: getattr(GatewayConfig, name) for key, name in GATEWAY_KEYS.items()},
+    **{key: getattr(PipelineConfig, key) for key in PIPELINE_KEYS},
+}
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse exits with 2 on usage errors; 2 means partial success here,
+    so usage problems are remapped to the fatal exit code."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_FATAL, f"{self.prog}: error: {message}\n")
 
 
 def parse_grid(text: str) -> list[FilterPolicy]:
@@ -136,7 +130,7 @@ def parse_grid(text: str) -> list[FilterPolicy]:
             policies.append(FilterPolicy.none() if v == "none"
                             else FilterPolicy.top_k(int(v)))
         return policies
-    return [policy_from_spec(parse_filter_spec(v))
+    return [FilterPolicy(**parse_filter_spec(v))
             for v in text.split(",") if v != ""]
 
 
@@ -181,7 +175,7 @@ def _make_transport(resolved: dict):
 
 def build_context(resolved: dict) -> ExperimentContext:
     pipeline_config = PipelineConfig(
-        filter_policy=policy_from_spec(resolved["filter"]),
+        filter_policy=FilterPolicy(**resolved["filter"]),
         **{key: resolved[key] for key in PIPELINE_KEYS},
     )
     gateway_config = GatewayConfig(

@@ -231,10 +231,6 @@ class FilteredMatrix:
     def __post_init__(self):
         object.__setattr__(self, "entries", _as_grid(self.entries, what="filtered matrix"))
 
-    @property
-    def shape(self) -> tuple[int, int]:
-        return grid_shape(self.entries)
-
 
 @dataclass(frozen=True)
 class FilterPolicy:

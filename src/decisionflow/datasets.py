@@ -292,5 +292,7 @@ def _one_hot_constraints(n: int) -> tuple[Constraint, ...]:
 
 
 def problems_from_records(records, kind: str):
+    if kind not in ("mta", "dellma"):
+        raise ValueError(f"unknown dataset kind {kind!r}")
     convert = mta_problem if kind == "mta" else dellma_problem
     return [convert(r) for r in records]

@@ -1,7 +1,8 @@
 """Exception taxonomy shared across the package.
 
-Stage-output errors mark a single run as an abstention when caught by the
-experiment runner; gateway and dataset errors are fatal for the whole run.
+Stage-output errors and InfeasibleError mark a single run as an abstention
+when caught by the experiment runner (``pipeline.ABSTENTIONS``); gateway and
+dataset errors are fatal for the whole run.
 """
 
 from __future__ import annotations
@@ -83,7 +84,9 @@ class ReplayMissError(GatewayError):
 
 
 class TranscriptCorruptError(GatewayError):
-    """A stored transcript does not match the digest it is filed under."""
+    """A stored transcript fails the check made where it is read: it is not a
+    JSON object, its request is malformed or differs from the one its digest
+    names, or its response, usage or latency is missing or mistyped."""
 
 
 class DatasetError(DecisionFlowError):

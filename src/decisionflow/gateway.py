@@ -291,9 +291,7 @@ class GatewayConfig:
     mode: str = "replay"  # "replay" | "record"
     transcript_dir: str | Path = "transcripts"
     base_url: str | None = None
-    api_key: str | None = None
     backoff: float = 0.5
-    timeout: float = 60.0
 
     def __post_init__(self):
         if self.mode not in ("replay", "record"):
@@ -315,11 +313,7 @@ class LlmGateway:
         self.config = config
         self.store = TranscriptStore(config.transcript_dir)
         if config.mode == "record" and transport is None:
-            transport = HttpTransport(
-                base_url=config.base_url,
-                api_key=config.api_key,
-                timeout=config.timeout,
-            )
+            transport = HttpTransport(base_url=config.base_url)
         self.transport = transport
         self.live_calls = 0
         self.cache_hits = 0
@@ -353,7 +347,7 @@ class LlmGateway:
             return completion
         try:
             # an earlier flight may have landed between the lookup and the claim
-            completion = self._lookup(request) or self._record(request, digest)
+            completion = self._lookup(request) or self._record(request)
         except BaseException as err:
             flight.set_exception(err)
             raise
@@ -374,7 +368,7 @@ class LlmGateway:
             self.cache_hits += 1
         return completion
 
-    def _record(self, request: CompletionRequest, digest: str) -> Completion:
+    def _record(self, request: CompletionRequest) -> Completion:
         """Send a request, persist its transcript and return the completion."""
         with self._gate:
             reply, attempts = self._call_with_retries(request)
@@ -395,7 +389,7 @@ class LlmGateway:
         if approximate:
             log.warning("backend reported no usage; token counts are approximate")
         entry = {
-            "digest": digest,
+            "digest": request.digest,
             "request": asdict(request),
             "response": {"text": reply.text},
             "usage": {
@@ -407,7 +401,7 @@ class LlmGateway:
             "attempts": attempts,
             "recorded_at": datetime.now(timezone.utc).isoformat(),
         }
-        self.store.write(digest, entry)
+        self.store.write(request.digest, entry)
         return completion_from_entry(entry, request, self.store)
 
     def _call_with_retries(self, request: CompletionRequest) -> tuple[BackendReply, int]:

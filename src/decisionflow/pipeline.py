@@ -228,7 +228,6 @@ def render_objective(problem, attributes, coefficients) -> dict:
 class StructuredArtifacts:
     """Intermediates of a structured run, reusable by post-hoc sweeps."""
 
-    problem: DecisionProblem
     weights: WeightMatrix
     grounded: tuple[tuple[float, ...], ...]
 
@@ -396,7 +395,7 @@ def run_structured(problem: DecisionProblem, ctx: ExperimentContext,
         answer=sol.answer, utilities=sol.utilities, rationale=rationale,
         trace=tuple(trace),
     )
-    return outcome, StructuredArtifacts(problem, weights, grounded)
+    return outcome, StructuredArtifacts(weights, grounded)
 
 
 def _grid_payload(entries):
@@ -666,7 +665,6 @@ class SweepSetting:
     """Post-hoc kernel re-solve of recorded runs under one filter policy."""
 
     label: str
-    policy: FilterPolicy
     answers: dict[str, int]
     utilities: dict[str, tuple[float, ...]]
     surviving_cells: int
@@ -688,16 +686,16 @@ def kernel_sweep(problems, ctx: ExperimentContext,
         answers = {}
         utilities = {}
         surviving = 0
-        for art in artifacts:
+        for problem, art in zip(problems, artifacts):
             sol, support = _solve(
                 art.grounded, art.weights, policy, ctx.config.filter_target,
-                art.problem.constraints,
+                problem.constraints,
             )
             surviving += support
-            answers[art.problem.problem_id] = sol.answer
-            utilities[art.problem.problem_id] = sol.utilities
+            answers[problem.problem_id] = sol.answer
+            utilities[problem.problem_id] = sol.utilities
         settings.append(SweepSetting(
-            label=policy.label(), policy=policy, answers=answers,
+            label=policy.label(), answers=answers,
             utilities=utilities, surviving_cells=surviving,
         ))
     return settings

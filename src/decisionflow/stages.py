@@ -68,9 +68,6 @@ class StageTemplate:
     def placeholder_names(self) -> tuple[str, ...]:
         return tuple(sorted(set(self.pieces[1::2])))
 
-    def placeholders(self) -> set[str]:
-        return set(self.placeholder_names)
-
 
 def load_templates(directory: str | Path | None = None) -> dict[str, StageTemplate]:
     """Load one template per stage from a directory of ``<stage>.txt`` files.
@@ -314,14 +311,10 @@ def parse_extraction(text: str, actions) -> list[str]:
     return statements
 
 
-def match_action(name: str, actions) -> int | None:
-    """Resolve a variable name to an action index by normalized substring."""
-    return _match_canonical(name, [canonical_name(label) for label in actions])
-
-
 def _match_canonical(name: str, canon_actions: list[str]) -> int | None:
-    """`match_action` against action labels already canonicalised, so that a
-    parser canonicalises its labels once rather than once per entry."""
+    """Resolve a variable name to an action index by normalized substring,
+    against action labels already canonicalised, so that a parser
+    canonicalises its labels once rather than once per entry."""
     canon = canonical_name(name)
     if not canon:
         return None

@@ -15,6 +15,7 @@ from decisionflow.datasets import (
     load_dataset,
     load_predictions,
     mta_problem,
+    problems_from_records,
     serialize_records,
     write_predictions,
     write_records,
@@ -241,3 +242,7 @@ class TestProblemConversion:
         assert problem.bias_directive is None
         assert problem.n_actions == 3
         assert problem.constraints[0].source_text == "x1 + x2 + x3 <= 1"
+
+    def test_unknown_kind_rejected(self, mta_records):
+        with pytest.raises(ValueError, match="unknown dataset kind 'dellma2'"):
+            problems_from_records(mta_records, "dellma2")

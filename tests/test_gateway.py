@@ -2,6 +2,7 @@
 HTTP fixture server, replay mode, and the retry budget."""
 
 import json
+import socket
 import threading
 import time
 from dataclasses import asdict, replace
@@ -17,7 +18,9 @@ from decisionflow.errors import (
     TransportError,
 )
 from decisionflow.gateway import (
+    API_KEY_ENV,
     DEFAULT_MAX_TOKENS,
+    MAX_ATTEMPTS,
     BackendReply,
     Completion,
     CompletionRequest,
@@ -101,9 +104,12 @@ class TestTranscriptStore:
 
     def test_write_leaves_no_temp_files(self, tmp_path):
         store = TranscriptStore(tmp_path)
-        store.write("ab" + "0" * 62, {"request": {}, "x": 1})
-        leftovers = list(tmp_path.rglob("*.tmp"))
-        assert leftovers == []
+        written, unencodable = "ab" + "0" * 62, "cd" + "0" * 62
+        store.write(written, {"request": {}, "x": 1})
+        with pytest.raises(TypeError):
+            store.write(unencodable, {"request": {}, "x": object()})
+        files = [p for p in tmp_path.rglob("*") if p.is_file()]
+        assert files == [store.path_for(written)]
 
     def test_verify_passes_on_genuine_entries(self, tmp_path):
         store = TranscriptStore(tmp_path)
@@ -112,13 +118,22 @@ class TestTranscriptStore:
         assert store.verify() == 1
 
     def test_verify_rejects_edited_request(self, tmp_path):
-        store = TranscriptStore(tmp_path)
         digest = request_digest(REQ)
-        entry = _entry_for(REQ, "ok")
-        entry["request"]["prompt"] = "tampered"
-        store.write(digest, entry)
-        with pytest.raises(TranscriptCorruptError):
-            store.verify()
+        for field, value, message in [
+            ("prompt", "tampered", "hashes to"),
+            ("model", None, "malformed request"),  # None: the field is gone
+            ("temperature", "hot", "malformed request"),
+        ]:
+            store = TranscriptStore(tmp_path / field)
+            entry = _entry_for(REQ, "ok")
+            if value is None:
+                del entry["request"][field]
+            else:
+                entry["request"][field] = value
+            store.write(digest, entry)
+            with pytest.raises(TranscriptCorruptError, match=message) as err:
+                store.verify()
+            assert str(store.path_for(digest)) in str(err.value)
 
 
 def _entry_for(request, text, latency=0.25):
@@ -183,7 +198,6 @@ class TestRecordMode:
     def test_records_then_serves_from_cache(self, tmp_path, fixture_server):
         config = GatewayConfig(
             mode="record", transcript_dir=tmp_path, base_url=fixture_server,
-            api_key="test-key",
         )
         gw = LlmGateway(config)
         req = CompletionRequest("m1", "what now", 0.0, 64, "zero_shot")
@@ -493,27 +507,41 @@ class TestSingleFlight:
         assert gw.live_calls == 1
 
 
+def _closed_port_url() -> str:
+    """The URL of a local port that was bound and then closed, so a
+    connection to it is refused."""
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        port = sock.getsockname()[1]
+    return f"http://127.0.0.1:{port}"
+
+
 class TestHttpTransportStatuses:
     @pytest.fixture
     def status_server(self):
         class StatusHandler(BaseHTTPRequestHandler):
             status = 500
+            body = b'{"error": "nope"}'
+            authorizations = []
 
             def do_POST(self):
-                data = b'{"error": "nope"}'
-                self.send_response(type(self).status)
+                cls = type(self)
+                cls.authorizations.append(self.headers.get("Authorization"))
+                self.send_response(cls.status)
                 self.send_header("Content-Type", "application/json")
-                self.send_header("Content-Length", str(len(data)))
+                self.send_header("Content-Length", str(len(cls.body)))
                 self.end_headers()
-                self.wfile.write(data)
+                self.wfile.write(cls.body)
 
             def log_message(self, *args):
                 pass
 
         server = ThreadingHTTPServer(("127.0.0.1", 0), StatusHandler)
-        threading.Thread(target=server.serve_forever, daemon=True).start()
+        threading.Thread(target=server.serve_forever, args=(0.01,),
+                         daemon=True).start()
         yield StatusHandler, f"http://127.0.0.1:{server.server_port}"
         server.shutdown()
+        server.server_close()
 
     def test_5xx_and_429_are_transport_errors(self, status_server):
         handler, url = status_server
@@ -530,3 +558,59 @@ class TestHttpTransportStatuses:
         with pytest.raises(BackendError) as err:
             transport.send(CompletionRequest("m", "p", 0.0, 64))
         assert "nope" in str(err.value.payload)
+
+    def test_refused_connection_is_a_transport_error(self):
+        transport = HttpTransport(base_url=_closed_port_url())
+        with pytest.raises(TransportError, match="request failed"):
+            transport.send(CompletionRequest("m", "p", 0.0, 64))
+
+    def test_gateway_retries_a_refused_connection_then_raises(self, tmp_path):
+        gw = LlmGateway(GatewayConfig(mode="record", transcript_dir=tmp_path,
+                                      base_url=_closed_port_url(),
+                                      backoff=0.001))
+        sends = []
+        send = gw.transport.send
+        gw.transport.send = lambda request: sends.append(request) or send(request)
+        with pytest.raises(TransportError):
+            gw.complete(REQ)
+        assert len(sends) == MAX_ATTEMPTS == 3
+        assert (gw.live_calls, gw.store.digests()) == (0, [])
+
+    @pytest.mark.parametrize("body, text", [
+        (b'{"choices": [{"text": "from choices"}]}', "from choices"),
+        (b'{"text": "top level"}', "top level"),
+    ], ids=["choices_text", "top_level_text"])
+    def test_completion_text_fallbacks(self, status_server, body, text):
+        handler, url = status_server
+        handler.status, handler.body = 200, body
+        reply = HttpTransport(base_url=url).send(REQ)
+        assert reply.text == text
+        assert (reply.prompt_tokens, reply.response_tokens) == (None, None)
+
+    @pytest.mark.parametrize("body, message", [
+        (b"<html>busy</html>", "non-JSON body"),
+        (b'{"choices": [{"message": {}}], "usage": {}}', "no completion text"),
+    ], ids=["not_json", "no_text"])
+    def test_ok_reply_without_text_is_backend_error(self, status_server,
+                                                     body, message):
+        handler, url = status_server
+        handler.status, handler.body = 200, body
+        with pytest.raises(BackendError, match=message):
+            HttpTransport(base_url=url).send(REQ)
+
+    @pytest.mark.parametrize("param, env, header", [
+        ("param-key", None, "Bearer param-key"),
+        (None, "env-key", "Bearer env-key"),
+        ("param-key", "env-key", "Bearer param-key"),
+        (None, None, None),
+    ], ids=["parameter", "environment", "parameter_wins", "no_key"])
+    def test_bearer_header_sent_exactly_when_a_key_is_given(
+            self, status_server, monkeypatch, param, env, header):
+        handler, url = status_server
+        handler.status, handler.body = 200, b'{"text": "ok"}'
+        if env is None:
+            monkeypatch.delenv(API_KEY_ENV, raising=False)
+        else:
+            monkeypatch.setenv(API_KEY_ENV, env)
+        HttpTransport(base_url=url, api_key=param).send(REQ)
+        assert handler.authorizations == [header]

@@ -9,12 +9,18 @@ from __future__ import annotations
 import json
 import threading
 import time
+from dataclasses import replace
 
 import pytest
 
 from conftest import CORPUS_DIR
 from decisionflow import gateway, pipeline
-from decisionflow.core import DecisionProblem, FilterPolicy
+from decisionflow.core import (
+    Constraint,
+    DecisionProblem,
+    FilterPolicy,
+    feasible_actions,
+)
 from decisionflow.errors import BackendError, DecisionError, ReplayMissError
 from decisionflow.gateway import GatewayConfig, LlmGateway, request_digest
 from decisionflow.pipeline import (
@@ -191,6 +197,29 @@ class TestStructuredRun:
         assert outcome.utilities[0] == pytest.approx(0.9 * 0.6, abs=EPS)
         assert outcome.utilities[1] == pytest.approx(0.81 + 0.81, abs=EPS)
         assert outcome.answer == 1
+
+    @pytest.mark.parametrize("kind", ["exclusion", "cardinality"])
+    def test_rationale_lists_the_active_constraints(self, ctx_factory, kind):
+        ctx = ctx_factory("decisionflow")
+        free = DecisionProblem(
+            problem_id="free", scenario="Pick a storage tier for cold backups.",
+            actions=("Keep tape", "Move to disk", "Move to cloud"),
+        )
+        winner = run_problem(free, ctx).answer
+        if kind == "exclusion":
+            ruling = Constraint.exclusion(winner, "the first choice is banned")
+        else:
+            ruling = Constraint.cardinality(0, {winner, (winner + 1) % 3},
+                                            "two choices are banned")
+        slack = Constraint.cardinality(1, range(3))  # rules nothing out
+        problem = replace(free, problem_id=kind, constraints=(slack, ruling))
+        outcome = run_problem(problem, ctx)
+        assert outcome.answer != winner
+        assert outcome.answer in feasible_actions(problem.constraints, 3)
+        prompt = next(e["payload"] for e in outcome.trace
+                      if e["kind"] == "prompt" and e["name"] == "rationale")
+        block = prompt.split("Constraints that restricted the choice:\n")[1]
+        assert block.split("\n\n")[0] == f"- {ruling.source_text}"
 
 
 class TestReplayAndConcurrency:

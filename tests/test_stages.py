@@ -60,7 +60,7 @@ class TestTemplates:
 class TestRendering:
     def test_placeholders_found(self):
         t = StageTemplate("cot", "choose {scenario} given {bias}")
-        assert t.placeholders() == {"scenario", "bias"}
+        assert t.placeholder_names == ("bias", "scenario")
 
     def test_render_fills_all_placeholders(self):
         t = StageTemplate("cot", "S={scenario} B={bias}")
@@ -95,7 +95,7 @@ class TestRendering:
     def test_matches_a_substitution_on_every_packaged_template(self):
         for template in load_templates().values():
             context = {name: f"<{name} {{x}} \\1>"
-                       for name in template.placeholders()}
+                       for name in template.placeholder_names}
             expected = stages.PLACEHOLDER_RE.sub(
                 lambda m: context[m.group(1)], template.body)
             assert render_stage_prompt(template, context) == expected

@@ -85,8 +85,7 @@ def test_trace_matches_its_own_numbers(config_name, tmp_path, monkeypatch):
     manifest, traces, problems = _replay(config_name, tmp_path, monkeypatch)
     resolved = manifest["config"]
     structured, options = MODES[resolved["mode"]]
-    policy = options.get("policy",
-                         cli.policy_from_spec(resolved["filter"]))
+    policy = options.get("policy", FilterPolicy(**resolved["filter"]))
     checked = 0
     for run in manifest["runs"]:
         trace = traces[run["id"], run["repeat"]]
