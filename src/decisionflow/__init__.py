@@ -6,108 +6,4 @@ aggregation, and symbolic selection with a generated rationale. A record and
 replay gateway makes every run reproducible offline.
 """
 
-from .core import (
-    AttributeTable,
-    Constraint,
-    DecisionOutcome,
-    DecisionProblem,
-    FilteredMatrix,
-    FilterPolicy,
-    RelevanceCell,
-    SymbolicSolution,
-    WeightMatrix,
-    apply_mask,
-    feasible_actions,
-    parse_constraint,
-    row_utilities,
-    select_action,
-    solve_symbolic,
-    sparsify_weights,
-)
-from .datasets import load_dataset, problems_from_records
-from .errors import (
-    AlignmentError,
-    AnswerRangeError,
-    BackendError,
-    CompletenessError,
-    DatasetError,
-    DecisionError,
-    DecisionFlowError,
-    GatewayError,
-    InfeasibleError,
-    OutputParseError,
-    ReplayMissError,
-    SchemaError,
-    ShapeError,
-    StageOutputError,
-    TemplateError,
-    TranscriptCorruptError,
-    TransportError,
-)
-from .gateway import GatewayConfig, LlmGateway, TranscriptStore
-from .metrics import evaluate, usage_summary, write_report
-from .pipeline import (
-    MODES,
-    ExperimentContext,
-    PipelineConfig,
-    RunRecord,
-    execute_run,
-    kernel_sweep,
-    run_experiment,
-    run_problem,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "MODES",
-    "ExperimentContext",
-    "GatewayConfig",
-    "LlmGateway",
-    "PipelineConfig",
-    "RunRecord",
-    "TranscriptStore",
-    "evaluate",
-    "execute_run",
-    "kernel_sweep",
-    "load_dataset",
-    "problems_from_records",
-    "run_experiment",
-    "run_problem",
-    "usage_summary",
-    "write_report",
-    "AttributeTable",
-    "Constraint",
-    "DecisionOutcome",
-    "DecisionProblem",
-    "FilteredMatrix",
-    "FilterPolicy",
-    "RelevanceCell",
-    "SymbolicSolution",
-    "WeightMatrix",
-    "apply_mask",
-    "feasible_actions",
-    "parse_constraint",
-    "row_utilities",
-    "select_action",
-    "solve_symbolic",
-    "sparsify_weights",
-    "AlignmentError",
-    "AnswerRangeError",
-    "BackendError",
-    "CompletenessError",
-    "DatasetError",
-    "DecisionError",
-    "DecisionFlowError",
-    "GatewayError",
-    "InfeasibleError",
-    "OutputParseError",
-    "ReplayMissError",
-    "SchemaError",
-    "ShapeError",
-    "StageOutputError",
-    "TemplateError",
-    "TranscriptCorruptError",
-    "TransportError",
-    "__version__",
-]

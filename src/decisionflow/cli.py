@@ -19,8 +19,9 @@ from dataclasses import asdict, fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
-from .core import FilterPolicy
+from .core import FilterPolicy, finite_float
 from .datasets import (
+    DATASET_KINDS,
     PredictionRow,
     load_dataset,
     load_predictions,
@@ -28,7 +29,7 @@ from .datasets import (
     write_predictions,
 )
 from .errors import DecisionFlowError, ReplayMissError
-from .gateway import GatewayConfig, LlmGateway, TranscriptStore
+from .gateway import GATEWAY_MODES, GatewayConfig, LlmGateway, TranscriptStore
 from .metrics import (
     evaluate,
     render_sweep_markdown,
@@ -38,6 +39,7 @@ from .metrics import (
 )
 from .pipeline import (
     ABSTENTIONS,
+    FILTER_TARGETS,
     MODES,
     STRUCTURED_MODES,
     ExperimentContext,
@@ -67,32 +69,39 @@ GATEWAY_KEYS = {
     "base_url": "base_url",
 }
 
+# the RunRecord fields a manifest's run entry copies, besides problem_id as "id"
+MANIFEST_RUN_FIELDS = ("repeat", "answer", "abstained", "error", "llm_calls",
+                       "prompt_tokens", "response_tokens", "latency_total",
+                       "wall_time", "attempts")
+
+FILTER_FIELDS = {f.name for f in fields(FilterPolicy)}
+
 
 def parse_filter_spec(value) -> dict:
-    """Normalize a filter setting (dict or compact string) to a spec dict,
-    whose keys are FilterPolicy fields.
+    """Normalize a filter setting to a spec dict whose keys are FilterPolicy
+    fields; the spec must build a FilterPolicy.
 
-    Accepted strings: "none", "epsilon=0.3", "top_k=2", "top2".
+    A setting is a dict of FilterPolicy fields ({"kind": "top_k", "k": 2}) or
+    a string naming one: "none", "epsilon=0.3", "top_k=2" or "top2".
     """
-    if isinstance(value, dict):
-        kind = value.get("kind")
-        if kind == "threshold":
-            return {"kind": "threshold", "epsilon": float(value["epsilon"])}
-        if kind == "top_k":
-            return {"kind": "top_k", "k": int(value["k"])}
-        if kind == "none":
-            return {"kind": "none"}
-        raise ValueError(f"unknown filter kind {kind!r}")
-    text = str(value).strip()
-    if text == "none":
-        return {"kind": "none"}
-    if text.startswith("epsilon="):
-        return {"kind": "threshold", "epsilon": float(text[len("epsilon="):])}
-    if text.startswith("top_k="):
-        return {"kind": "top_k", "k": int(text[len("top_k="):])}
-    if text.startswith("top") and text[3:].isdigit():
-        return {"kind": "top_k", "k": int(text[3:])}
-    raise ValueError(f"cannot parse filter spec {text!r}")
+    if isinstance(value, str):
+        name, equals, number = value.strip().partition("=")
+        try:
+            if name == "none" and not equals:
+                value = {"kind": "none"}
+            elif name == "epsilon" and equals:
+                value = {"kind": "threshold", "epsilon": float(number)}
+            elif name == "top_k" and equals:
+                value = {"kind": "top_k", "k": int(number)}
+            elif name[:3] == "top" and name[3:].isdigit() and not equals:
+                value = {"kind": "top_k", "k": int(name[3:])}
+        except ValueError:
+            pass  # the string is left as it is, which the check below rejects
+    if not (isinstance(value, dict) and "kind" in value
+            and value.keys() <= FILTER_FIELDS):
+        raise ValueError(f"cannot parse filter spec {value!r}")
+    policy = FilterPolicy(**value)
+    return {key: v for key, v in asdict(policy).items() if v is not None}
 
 
 DEFAULT_CONFIG = {
@@ -116,22 +125,33 @@ class _Parser(argparse.ArgumentParser):
 
 
 def parse_grid(text: str) -> list[FilterPolicy]:
-    """Sweep grid: "epsilon=0.0,0.1,0.3", "top_k=1,2,3,none", or a comma
-    list of compact specs of one kind ("top1,top2,none")."""
+    """Sweep grid: a comma list of filter specs ("top1,epsilon=0.3,none"), or
+    a list head and its values ("epsilon=0.0,0.1,0.3", "top_k=1,2,none"),
+    where each value is a spec once the head is put back in front of it."""
     text = text.strip()
-    if text.startswith("epsilon="):
-        values = [v for v in text[len("epsilon="):].split(",") if v != ""]
-        return [FilterPolicy.threshold(float(v)) for v in values]
-    if text.startswith("top_k="):
-        policies = []
-        for v in text[len("top_k="):].split(","):
-            if v == "":
-                continue
-            policies.append(FilterPolicy.none() if v == "none"
-                            else FilterPolicy.top_k(int(v)))
-        return policies
-    return [FilterPolicy(**parse_filter_spec(v))
-            for v in text.split(",") if v != ""]
+    head = next((h for h in ("epsilon=", "top_k=") if text.startswith(h)), "")
+    values = [v for v in text[len(head):].split(",") if v != ""]
+    # a "top_k=" list may hold "none", which is a spec of its own
+    return [FilterPolicy(**parse_filter_spec(
+        v if (head, v) == ("top_k=", "none") else head + v)) for v in values]
+
+
+def _checked(key, value):
+    """A config-file value must have the type of the key's default, where an
+    int is taken for a float and None stands for a string or null; a bool is
+    not a number. parse_filter_spec checks the filter."""
+    default = DEFAULT_CONFIG[key]
+    if type(default) is float:
+        number = finite_float(value)
+        if number is not None:
+            return number
+    elif key == "filter" or type(value) is type(default) \
+            or (default is None and type(value) is str):
+        return value
+    expected = ("a string or null" if default is None else
+                "a finite number" if type(default) is float else
+                type(default).__name__)
+    raise ValueError(f"config key {key!r} must be {expected}, not {value!r}")
 
 
 def load_config_file(path) -> dict:
@@ -141,7 +161,7 @@ def load_config_file(path) -> dict:
     unknown = set(payload) - set(DEFAULT_CONFIG)
     if unknown:
         raise ValueError(f"unknown config keys {sorted(unknown)}")
-    return payload
+    return {key: _checked(key, value) for key, value in payload.items()}
 
 
 def resolve_config(args) -> dict:
@@ -154,8 +174,6 @@ def resolve_config(args) -> dict:
         if value is not None:
             resolved[key] = value
     resolved["filter"] = parse_filter_spec(resolved["filter"])
-    if resolved["mode"] not in MODES:
-        raise ValueError(f"unknown mode {resolved['mode']!r}")
     if resolved["repeats"] < 1:
         raise ValueError(f"repeats must be >= 1, not {resolved['repeats']}")
     return resolved
@@ -196,12 +214,8 @@ def _load_problems(resolved):
 def _write_run_outputs(out_dir: Path, resolved, records, run_records, gateway,
                        interrupted: bool):
     """Write predictions, then the manifest; the traces are already written."""
-    rows = [
-        PredictionRow(record_id=r.problem_id, mode=r.mode, repeat=r.repeat,
-                      answer=r.answer)
-        for r in run_records
-    ]
-    write_predictions(rows, out_dir / "predictions.jsonl")
+    write_predictions([PredictionRow(r.problem_id, r.mode, r.repeat, r.answer)
+                       for r in run_records], out_dir / "predictions.jsonl")
 
     manifest = {
         "created_at": datetime.now(timezone.utc).isoformat(),
@@ -220,22 +234,9 @@ def _write_run_outputs(out_dir: Path, resolved, records, run_records, gateway,
             "cache_hits": gateway.cache_hits,
         },
         "usage": asdict(usage_summary(run_records)) if run_records else None,
-        "runs": [
-            {
-                "id": r.problem_id,
-                "repeat": r.repeat,
-                "answer": r.answer,
-                "abstained": r.abstained,
-                "error": r.error,
-                "llm_calls": r.llm_calls,
-                "prompt_tokens": r.prompt_tokens,
-                "response_tokens": r.response_tokens,
-                "latency_total": r.latency_total,
-                "wall_time": r.wall_time,
-                "attempts": r.attempts,
-            }
-            for r in run_records
-        ],
+        "runs": [{"id": r.problem_id,
+                  **{name: getattr(r, name) for name in MANIFEST_RUN_FIELDS}}
+                 for r in run_records],
     }
     (out_dir / "manifest.json").write_text(
         json.dumps(manifest, indent=2, sort_keys=True, ensure_ascii=False) + "\n",
@@ -378,27 +379,23 @@ def _add_config_flags(parser, *, writes=True):
     parser.add_argument("--config", help="JSON config file")
     parser.add_argument("--mode", choices=MODES)
     parser.add_argument("--dataset", help="dataset JSONL path")
-    parser.add_argument("--dataset-kind", dest="dataset_kind",
-                        choices=("mta", "dellma"))
+    parser.add_argument("--dataset-kind", choices=DATASET_KINDS)
     parser.add_argument("--transcripts", help="transcript store directory")
     if writes:  # replay-verify always replays and writes nothing
-        parser.add_argument("--gateway-mode", dest="gateway_mode",
-                            choices=("replay", "record"))
+        parser.add_argument("--gateway-mode", choices=GATEWAY_MODES)
         parser.add_argument("--out", help="output directory")
     parser.add_argument("--repeats", type=int)
-    parser.add_argument("--info-model", dest="info_model")
-    parser.add_argument("--reasoning-model", dest="reasoning_model")
+    parser.add_argument("--info-model")
+    parser.add_argument("--reasoning-model")
     parser.add_argument("--filter",
                         help='filter spec: "epsilon=0.3", "top2", "none"')
-    parser.add_argument("--filter-target", dest="filter_target",
-                        choices=("weights", "relevance"))
-    parser.add_argument("--self-consistency-k", dest="self_consistency_k",
-                        type=int)
+    parser.add_argument("--filter-target", choices=FILTER_TARGETS)
+    parser.add_argument("--self-consistency-k", type=int)
     parser.add_argument(
-        "--max-concurrency", dest="max_concurrency", type=int,
+        "--max-concurrency", type=int,
         help="worker threads in record mode; replay is CPU-bound, so it runs "
              "on one thread whatever this says")
-    parser.add_argument("--max-tokens", dest="max_tokens", type=int)
+    parser.add_argument("--max-tokens", type=int)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -415,8 +412,8 @@ def build_parser() -> argparse.ArgumentParser:
     eval_parser = sub.add_parser("eval", help="score a predictions file")
     eval_parser.add_argument("--predictions", required=True)
     eval_parser.add_argument("--dataset", required=True)
-    eval_parser.add_argument("--dataset-kind", dest="dataset_kind",
-                             choices=("mta", "dellma"), required=True)
+    eval_parser.add_argument("--dataset-kind", choices=DATASET_KINDS,
+                             required=True)
     eval_parser.add_argument("--out", required=True)
     eval_parser.set_defaults(func=cmd_eval)
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import re
 import string
+import sys
 from dataclasses import dataclass, field
 
 from .errors import InfeasibleError, ShapeError
@@ -30,6 +31,14 @@ def canonical_name(text: str) -> str:
     """
     folded = text.casefold().translate(_PUNCT_TABLE)
     return " ".join(folded.split())
+
+
+def finite_float(value) -> float | None:
+    """value as a float if it is a finite int or float, else None; a bool is
+    not a number."""
+    if type(value) in (int, float) and abs(value) <= sys.float_info.max:
+        return float(value)
+    return None
 
 
 def _as_grid(rows, *, what: str) -> Grid:
@@ -242,20 +251,24 @@ class FilterPolicy:
 
     def __post_init__(self):
         if self.kind == "threshold":
-            if self.epsilon is None or not math.isfinite(self.epsilon) or self.epsilon < 0:
-                raise ValueError("threshold policy needs a finite epsilon >= 0")
+            epsilon = finite_float(self.epsilon)
+            if epsilon is None or epsilon < 0:
+                raise ValueError("threshold filter needs a finite number "
+                                 f"epsilon >= 0, not {self.epsilon!r}")
+            object.__setattr__(self, "epsilon", epsilon)
             if self.k is not None:
-                raise ValueError("threshold policy does not take k")
+                raise ValueError("threshold filter does not take k")
         elif self.kind == "top_k":
-            if self.k is None or self.k < 1:
-                raise ValueError("top_k policy needs k >= 1")
+            if type(self.k) is not int or self.k < 1:
+                raise ValueError(
+                    f"top_k filter needs an integer k >= 1, not {self.k!r}")
             if self.epsilon is not None:
-                raise ValueError("top_k policy does not take epsilon")
+                raise ValueError("top_k filter does not take epsilon")
         elif self.kind == "none":
             if self.epsilon is not None or self.k is not None:
-                raise ValueError("none policy takes no parameters")
+                raise ValueError("none filter takes no epsilon or k")
         else:
-            raise ValueError(f"unknown filter policy kind {self.kind!r}")
+            raise ValueError(f"unknown filter kind {self.kind!r}")
 
     @classmethod
     def threshold(cls, epsilon: float) -> "FilterPolicy":

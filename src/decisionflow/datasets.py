@@ -29,6 +29,8 @@ DELLMA_DOMAINS = ("agriculture", "stocks")
 
 ABSTAIN = "abstain"
 
+DATASET_KINDS = ("mta", "dellma")
+
 
 @dataclass(frozen=True)
 class MtaRecord:
@@ -189,8 +191,8 @@ def _read_jsonl(path: str | Path):
 
 
 def load_dataset(path: str | Path, kind: str):
-    """Load and validate a dataset; kind is "mta" or "dellma"."""
-    if kind not in ("mta", "dellma"):
+    """Load and validate a dataset of one of DATASET_KINDS."""
+    if kind not in DATASET_KINDS:
         raise ValueError(f"unknown dataset kind {kind!r}")
     parse = _parse_mta if kind == "mta" else _parse_dellma
     records = []
@@ -222,10 +224,6 @@ def write_records(records, path: str | Path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for record in records:
             fh.write(dumps_record(record) + "\n")
-
-
-def serialize_records(records) -> str:
-    return "".join(dumps_record(r) + "\n" for r in records)
 
 
 def load_predictions(path: str | Path) -> list[PredictionRow]:
@@ -292,7 +290,7 @@ def _one_hot_constraints(n: int) -> tuple[Constraint, ...]:
 
 
 def problems_from_records(records, kind: str):
-    if kind not in ("mta", "dellma"):
+    if kind not in DATASET_KINDS:
         raise ValueError(f"unknown dataset kind {kind!r}")
     convert = mta_problem if kind == "mta" else dellma_problem
     return [convert(r) for r in records]

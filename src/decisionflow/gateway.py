@@ -34,6 +34,7 @@ log = logging.getLogger(__name__)
 API_KEY_ENV = "DECISIONFLOW_API_KEY"
 BASE_URL_ENV = "DECISIONFLOW_BASE_URL"
 DEFAULT_MAX_TOKENS = 4096
+GATEWAY_MODES = ("replay", "record")
 # sends per record-mode request; transport errors are retried, nothing else is
 MAX_ATTEMPTS = 3
 # record-mode sends in flight at once, across every thread of one gateway
@@ -288,13 +289,13 @@ def _usage_int(usage: dict, *keys: str) -> int | None:
 
 @dataclass
 class GatewayConfig:
-    mode: str = "replay"  # "replay" | "record"
+    mode: str = "replay"  # one of GATEWAY_MODES
     transcript_dir: str | Path = "transcripts"
     base_url: str | None = None
     backoff: float = 0.5
 
     def __post_init__(self):
-        if self.mode not in ("replay", "record"):
+        if self.mode not in GATEWAY_MODES:
             raise ValueError(f"unknown gateway mode {self.mode!r}")
 
 

@@ -16,7 +16,7 @@ from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
 from statistics import fmean, stdev
 
-from .datasets import PredictionRow
+from .datasets import DATASET_KINDS, PredictionRow
 
 __all__ = [
     "RepeatStats",
@@ -155,7 +155,7 @@ def evaluate(predictions, records, kind: str) -> dict:
     kind selects the breakdown: "mta" groups by directive alignment, and
     "dellma" groups by the number of candidate actions.
     """
-    if kind not in ("mta", "dellma"):
+    if kind not in DATASET_KINDS:
         raise ValueError(f"unknown dataset kind {kind!r}")
     records_by_id = {r.record_id: r for r in records}
     mode, by_repeat = _group_predictions(predictions, records_by_id)

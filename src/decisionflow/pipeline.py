@@ -58,6 +58,10 @@ MODES = {
 STRUCTURED_MODES = tuple(name for name, (structured, _) in MODES.items()
                          if structured)
 
+# "weights" applies the filter policy to w, "relevance" applies it to the
+# grounded scores instead
+FILTER_TARGETS = ("weights", "relevance")
+
 NO_DIRECTIVE = "Choose the action that best serves the stated goal."
 
 # errors that end one run as an abstention; every other error is fatal
@@ -70,8 +74,7 @@ class PipelineConfig:
     info_model: str = "info-model"
     reasoning_model: str = "reasoning-model"
     filter_policy: FilterPolicy = FilterPolicy.threshold(0.3)
-    filter_target: str = "weights"  # "weights" applies the policy to w,
-    # "relevance" applies it to the grounded scores instead
+    filter_target: str = "weights"  # one of FILTER_TARGETS
     temperature_deterministic: float = 0.0
     temperature_sampling: float = 0.7
     self_consistency_k: int = 3
@@ -82,7 +85,7 @@ class PipelineConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.filter_target not in ("weights", "relevance"):
+        if self.filter_target not in FILTER_TARGETS:
             raise ValueError(f"unknown filter target {self.filter_target!r}")
         if self.self_consistency_k < 1 or self.self_consistency_k % 2 == 0:
             raise ValueError("self_consistency_k must be a positive odd number")

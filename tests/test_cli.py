@@ -2,18 +2,25 @@
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
+import math
+import re
 import signal
 import threading
 import time
 import tracemalloc
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import CONFIG_DIR, CORPUS_DIR, DATASET_DIR, REPO_ROOT
 from decisionflow import cli, pipeline
+from decisionflow.core import FilterPolicy
 from decisionflow.datasets import load_dataset, load_predictions, write_records
 from decisionflow.gateway import (
     CompletionRequest,
@@ -52,15 +59,39 @@ class TestFilterSpecs:
         assert cli.parse_filter_spec("top3") == {"kind": "top_k", "k": 3}
 
     def test_dict_forms(self):
-        assert cli.parse_filter_spec({"kind": "threshold", "epsilon": "0.5"}) \
+        assert cli.parse_filter_spec({"kind": "threshold", "epsilon": 0.5}) \
             == {"kind": "threshold", "epsilon": 0.5}
+        spec = cli.parse_filter_spec({"kind": "threshold", "epsilon": 1})
+        assert spec == {"kind": "threshold", "epsilon": 1.0}
+        assert type(spec["epsilon"]) is float
+        assert cli.parse_filter_spec({"kind": "top_k", "k": 2}) == {
+            "kind": "top_k", "k": 2}
         assert cli.parse_filter_spec({"kind": "none"}) == {"kind": "none"}
+        # a dict is checked, not coerced
+        with pytest.raises(ValueError, match="epsilon"):
+            cli.parse_filter_spec({"kind": "threshold", "epsilon": "0.5"})
+        with pytest.raises(ValueError, match="k >= 1"):
+            cli.parse_filter_spec({"kind": "top_k", "k": True})
+
+    @pytest.mark.parametrize("spec", [
+        {"kind": "threshold", "epsilon": True},
+        {"kind": "threshold", "epsilon": 0.3, "k": 5},
+        {"kind": "top_k", "k": 2.7},
+        {"kind": "top_k", "k": 2, "epsilon": 0.3},
+        {"kind": "none", "k": 1},
+        {"kind": "top_k", "k": 2, "depth": 3},
+        {"epsilon": 0.5},
+    ])
+    def test_dict_forms_are_checked(self, spec):
+        with pytest.raises(ValueError):
+            cli.parse_filter_spec(spec)
 
     def test_rejects_garbage(self):
-        with pytest.raises(ValueError):
-            cli.parse_filter_spec("sieve")
-        with pytest.raises(ValueError):
-            cli.parse_filter_spec({"kind": "colander"})
+        for spec in ("sieve", {"kind": "colander"}, "top_k=2.7", "top2.7",
+                     "top0", "epsilon=abc", "epsilon=nan", "epsilon=-0.1",
+                     "none=1", 0.3, None):
+            with pytest.raises(ValueError, match="filter"):
+                cli.parse_filter_spec(spec)
 
     def test_grid_forms(self):
         grid = cli.parse_grid("epsilon=0.0,0.1,0.3")
@@ -70,9 +101,120 @@ class TestFilterSpecs:
         assert [p.label() for p in grid] == ["top1", "top2", "none"]
         grid = cli.parse_grid("top2,none")
         assert [p.label() for p in grid] == ["top2", "none"]
+        grid = cli.parse_grid("top2,epsilon=0.3,top_k=4")
+        assert [p.label() for p in grid] == ["top2", "epsilon=0.3", "top4"]
+
+    @pytest.mark.parametrize("grid", [
+        "epsilon=0.3,top2", "epsilon=0.1,none", "top_k=1,top2", "top_k=2.5",
+    ])
+    def test_grid_list_holds_values_of_its_head(self, grid):
+        with pytest.raises(ValueError):
+            cli.parse_grid(grid)
 
     def test_empty_grid(self):
         assert cli.parse_grid("epsilon=") == []
+
+
+@st.composite
+def filter_policies(draw):
+    """Every valid policy: none, a finite epsilon >= 0, or a k >= 1."""
+    kind = draw(st.sampled_from(["none", "threshold", "top_k"]))
+    if kind == "threshold":
+        return FilterPolicy.threshold(draw(st.one_of(
+            st.floats(min_value=0, allow_nan=False, allow_infinity=False),
+            st.integers(min_value=0, max_value=2**64))))
+    if kind == "top_k":
+        return FilterPolicy.top_k(draw(st.integers(min_value=1,
+                                                   max_value=2**64)))
+    return FilterPolicy.none()
+
+
+class TestFilterGrammar:
+    """A filter's string and dict forms are one grammar, and a sweep grid is
+    a list of its strings."""
+
+    @given(filter_policies())
+    def test_label_and_dict_give_the_policy(self, policy):
+        spec = cli.parse_filter_spec(policy.label())
+        assert cli.parse_filter_spec(asdict(policy)) == spec
+        assert FilterPolicy(**spec) == policy
+
+    @given(st.lists(filter_policies()))
+    def test_grid_of_labels(self, policies):
+        labels = ["none"] + [p.label() for p in policies]
+        assert cli.parse_grid(",".join(labels)) == [
+            FilterPolicy(**cli.parse_filter_spec(label)) for label in labels]
+
+    @given(st.lists(st.floats(min_value=0, allow_nan=False,
+                              allow_infinity=False)))
+    def test_epsilon_list(self, values):
+        text = "epsilon=" + ",".join(repr(v) for v in values)
+        assert cli.parse_grid(text) == [
+            FilterPolicy(**cli.parse_filter_spec(f"epsilon={v!r}"))
+            for v in values]
+
+    @given(st.lists(st.one_of(st.just("none"),
+                              st.integers(1, 2**64).map(str))))
+    def test_top_k_list(self, values):
+        text = "top_k=" + ",".join(values)
+        assert cli.parse_grid(text) == [
+            FilterPolicy(**cli.parse_filter_spec(
+                v if v == "none" else f"top_k={v}"))
+            for v in values]
+
+
+# config-file values that used to run (exit 0), escape as a TypeError
+# traceback, or surface as a misleading replay miss; each names a config key,
+# or for a filter the field that is wrong
+WRONG_CONFIG_VALUES = [
+    ("repeats", True, "'repeats'"),
+    ("max_concurrency", 2.5, "'max_concurrency'"),
+    ("self_consistency_k", 3.0, "'self_consistency_k'"),
+    ("filter", {"kind": "top_k", "k": 2.7}, "k"),
+    ("filter", {"kind": "threshold", "epsilon": 0.3, "k": 5}, "k"),
+    ("temperature_sampling", math.nan, "'temperature_sampling'"),
+    ("max_tokens", "512", "'max_tokens'"),
+    ("temperature_deterministic", "0.0", "'temperature_deterministic'"),
+    ("repeats", "2", "'repeats'"),
+    ("transcripts", 5, "'transcripts'"),
+    ("info_model", 7, "'info_model'"),
+    ("filter", {"kind": "threshold", "epsilon": True}, "epsilon"),
+]
+
+
+class TestConfigValues:
+    @pytest.mark.parametrize("command", ["run", "replay-verify"])
+    @pytest.mark.parametrize("key,value,named", WRONG_CONFIG_VALUES)
+    def test_wrong_value_is_one_line_exit_1(self, tmp_path, capsys, command,
+                                            key, value, named):
+        config = make_config(tmp_path, **{key: value})
+        assert cli.main([command, "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "Traceback" not in err
+        if key == "filter":
+            assert "filter" in err
+            assert re.search(rf"\b{named}\b", err), err
+        else:
+            assert named in err, err
+        assert not (tmp_path / "out").exists()
+
+    def test_int_is_taken_for_a_float(self, tmp_path):
+        args = cli.build_parser().parse_args(
+            ["run", "--config", str(make_config(tmp_path,
+                                                temperature_sampling=1))])
+        resolved = cli.resolve_config(args)
+        assert resolved["temperature_sampling"] == 1.0
+        assert type(resolved["temperature_sampling"]) is float
+
+    def test_string_keys_with_a_none_default_take_null(self, tmp_path):
+        config = make_config(tmp_path, base_url=None)
+        assert cli.main(["run", "--config", str(config)]) == 0
+
+    def test_filter_string_in_a_config_file(self, tmp_path):
+        config = make_config(tmp_path, filter="top2")
+        args = cli.build_parser().parse_args(["run", "--config", str(config)])
+        assert cli.resolve_config(args)["filter"] == {"kind": "top_k", "k": 2}
 
 
 class TestRunCommand:
@@ -699,6 +841,35 @@ class TestFrozenOutputs:
 
 
 class TestParserBehavior:
+    def test_config_keys_and_flags_are_pinned(self):
+        """A new config key or flag has to change this pin on purpose."""
+        assert sorted(cli.DEFAULT_CONFIG) == [
+            "base_url", "dataset", "dataset_kind", "filter", "filter_target",
+            "gateway_mode", "info_model", "max_concurrency", "max_tokens",
+            "mode", "out", "reasoning_model", "repeats", "self_consistency_k",
+            "temperature_deterministic", "temperature_sampling", "transcripts",
+        ]
+        shared = ["--config", "--dataset", "--dataset-kind", "--filter",
+                  "--filter-target", "--help", "--info-model",
+                  "--max-concurrency", "--max-tokens", "--mode",
+                  "--reasoning-model", "--repeats", "--self-consistency-k",
+                  "--transcripts", "-h"]
+        subparsers = next(
+            action for action in cli.build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)).choices
+        options = {
+            name: sorted(s for action in subparsers[name]._actions
+                         for s in action.option_strings)
+            for name in ("run", "sweep", "replay-verify", "eval")
+        }
+        assert options == {
+            "run": sorted(shared + ["--gateway-mode", "--out"]),
+            "sweep": sorted(shared + ["--gateway-mode", "--grid", "--out"]),
+            "replay-verify": shared,
+            "eval": ["--dataset", "--dataset-kind", "--help", "--out",
+                     "--predictions", "-h"],
+        }
+
     def test_usage_errors_exit_fatal_not_partial(self):
         with pytest.raises(SystemExit) as excinfo:
             cli.main(["bogus-command"])

@@ -280,6 +280,23 @@ class TestTypes:
         with pytest.raises(ValueError):
             FilterPolicy(kind="threshold", epsilon=0.3, k=2)
 
+    @pytest.mark.parametrize("kind,value", [
+        ("top_k", 2.7), ("top_k", 2.0), ("top_k", True), ("top_k", "2"),
+        ("threshold", True), ("threshold", "0.3"), ("threshold", None),
+        ("threshold", float("nan")), ("threshold", float("inf")),
+        ("threshold", 10**400),
+    ])
+    def test_policy_parameter_types(self, kind, value):
+        field = "k" if kind == "top_k" else "epsilon"
+        with pytest.raises(ValueError, match=rf"\b{field}\b"):
+            FilterPolicy(kind=kind, **{field: value})
+
+    def test_int_epsilon_is_stored_as_a_float(self):
+        policy = FilterPolicy.threshold(1)
+        assert type(policy.epsilon) is float
+        assert policy == FilterPolicy.threshold(1.0)
+        assert policy.label() == "epsilon=1.0"
+
     def test_problem_needs_two_distinct_actions(self):
         with pytest.raises(ValueError):
             DecisionProblem("p", "scenario", ("only one",))
