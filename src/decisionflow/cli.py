@@ -26,6 +26,7 @@ from .datasets import (
     load_dataset,
     load_predictions,
     problems_from_records,
+    write_json,
     write_predictions,
 )
 from .errors import DecisionFlowError, ReplayMissError
@@ -238,10 +239,7 @@ def _write_run_outputs(out_dir: Path, resolved, records, run_records, gateway,
                   **{name: getattr(r, name) for name in MANIFEST_RUN_FIELDS}}
                  for r in run_records],
     }
-    (out_dir / "manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True, ensure_ascii=False) + "\n",
-        encoding="utf-8",
-    )
+    write_json(manifest, out_dir / "manifest.json")
 
 
 def cmd_run(args) -> int:
@@ -255,11 +253,9 @@ def cmd_run(args) -> int:
     traces_dir.mkdir(parents=True, exist_ok=True)
 
     def write_trace(record):
-        path = traces_dir / f"{record.problem_id}__r{record.repeat}.json"
-        path.write_text(
-            json.dumps(list(record.trace), indent=2, ensure_ascii=False) + "\n",
-            encoding="utf-8",
-        )
+        write_json(list(record.trace),
+                   traces_dir / f"{record.problem_id}__r{record.repeat}.json",
+                   sort_keys=False)
         return replace(record, trace=())
 
     interrupt = threading.Event()
@@ -330,10 +326,7 @@ def cmd_sweep(args) -> int:
     report = sweep_report(settings, records, resolved["dataset_kind"])
     report["config_digest"] = config_digest(resolved)
     report["live_calls"] = ctx.gateway.live_calls
-    (out_dir / "sweep.json").write_text(
-        json.dumps(report, indent=2, sort_keys=True, ensure_ascii=False) + "\n",
-        encoding="utf-8",
-    )
+    write_json(report, out_dir / "sweep.json")
     (out_dir / "sweep.md").write_text(render_sweep_markdown(report),
                                       encoding="utf-8")
     for row in report["settings"]:
@@ -393,8 +386,10 @@ def _add_config_flags(parser, *, writes=True):
     parser.add_argument("--self-consistency-k", type=int)
     parser.add_argument(
         "--max-concurrency", type=int,
-        help="worker threads in record mode; replay is CPU-bound, so it runs "
-             "on one thread whatever this says")
+        help="c: record mode runs at most c runs and c weigh calls per run "
+             "at once, on one pool of c*c threads in all (the gateway "
+             "separately caps sends at MAX_IN_FLIGHT=4); replay is CPU-bound, "
+             "so it runs on one thread whatever this says")
     parser.add_argument("--max-tokens", type=int)
 
 

@@ -220,6 +220,14 @@ def dumps_record(record) -> str:
     return json.dumps(record.to_json(), ensure_ascii=False)
 
 
+def write_json(value, path: str | Path, *, sort_keys: bool = True) -> None:
+    """Every JSON file the package writes: two-space indent, UTF-8, one
+    trailing newline."""
+    Path(path).write_text(json.dumps(value, indent=2, sort_keys=sort_keys,
+                                     ensure_ascii=False) + "\n",
+                          encoding="utf-8")
+
+
 def write_records(records, path: str | Path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for record in records:

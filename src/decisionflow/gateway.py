@@ -39,6 +39,9 @@ GATEWAY_MODES = ("replay", "record")
 MAX_ATTEMPTS = 3
 # record-mode sends in flight at once, across every thread of one gateway
 MAX_IN_FLIGHT = 4
+# where HttpTransport posts, under the base URL, and how long it waits
+HTTP_PATH = "/v1/chat/completions"
+HTTP_TIMEOUT_S = 60.0
 # the request fields a digest covers, in canonical order; a read compares a
 # stored request with the live one on these instead of re-hashing it
 DIGEST_FIELDS = ("model", "temperature", "max_tokens", "prompt", "attempt")
@@ -199,17 +202,9 @@ class TranscriptStore:
 class HttpTransport:
     """Chat-completions-style HTTP backend speaking JSON over POST."""
 
-    def __init__(
-        self,
-        base_url: str | None = None,
-        api_key: str | None = None,
-        path: str = "/v1/chat/completions",
-        timeout: float = 60.0,
-    ):
+    def __init__(self, base_url: str | None = None, api_key: str | None = None):
         self.base_url = (base_url or os.environ.get(BASE_URL_ENV, "")).rstrip("/")
         self.api_key = api_key or os.environ.get(API_KEY_ENV, "")
-        self.path = path
-        self.timeout = timeout
         if not self.base_url:
             raise ValueError(f"no backend URL: set {BASE_URL_ENV} or pass base_url")
         import requests
@@ -231,10 +226,10 @@ class HttpTransport:
         started = time.perf_counter()
         try:
             resp = self._session.post(
-                self.base_url + self.path,
+                self.base_url + HTTP_PATH,
                 json=payload,
                 headers=headers,
-                timeout=self.timeout,
+                timeout=HTTP_TIMEOUT_S,
             )
         except requests.RequestException as err:
             raise TransportError(f"request failed: {err}") from err

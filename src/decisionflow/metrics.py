@@ -10,13 +10,12 @@ numbers are rounded to two decimals with half-up rounding.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
 from statistics import fmean, stdev
 
-from .datasets import DATASET_KINDS, PredictionRow
+from .datasets import DATASET_KINDS, PredictionRow, write_json
 
 __all__ = [
     "RepeatStats",
@@ -354,9 +353,6 @@ def write_report(report: dict, directory):
     directory.mkdir(parents=True, exist_ok=True)
     json_path = directory / "report.json"
     md_path = directory / "report.md"
-    json_path.write_text(
-        json.dumps(report, indent=2, sort_keys=True, ensure_ascii=False) + "\n",
-        encoding="utf-8",
-    )
+    write_json(report, json_path)
     md_path.write_text(render_markdown(report), encoding="utf-8")
     return json_path, md_path

@@ -14,7 +14,8 @@ import json
 import logging
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from contextlib import nullcontext
+from dataclasses import dataclass, field, replace
 
 from .core import (
     DecisionOutcome,
@@ -79,8 +80,10 @@ class PipelineConfig:
     temperature_sampling: float = 0.7
     self_consistency_k: int = 3
     max_tokens: int = DEFAULT_MAX_TOKENS
-    max_concurrency: int = 1  # worker threads in record mode; replay is
-    # CPU-bound and runs on one thread whatever this says
+    # c: in record mode at most c runs, and c weigh calls per run, at once on
+    # one pool, c * c threads in all (the gateway separately caps sends at
+    # MAX_IN_FLIGHT); replay is CPU-bound and runs on one thread whatever c is
+    max_concurrency: int = 1
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -100,6 +103,7 @@ class ExperimentContext:
     config: PipelineConfig
     gateway: LlmGateway
     templates: dict[str, StageTemplate]
+    pool: ThreadPoolExecutor | None = None  # set by run_experiment only
 
 
 def _event(stage, kind, name, payload):
@@ -139,38 +143,40 @@ def _record_call(trace, stage, name, request, completion):
     }))
 
 
-def _map(fn, items, workers, then=lambda result: result):
-    """[then(fn(item)) for item in items], fn on a pool of ``workers`` threads
-    when both exceed one. ``then`` runs on the calling thread in item order:
-    right after each item when serial, once the pool has drained otherwise.
-    Once an item raises, no further item starts; the items already running
-    finish, then the first error is raised."""
-    if workers <= 1 or len(items) <= 1:
+def _map(fn, items, ctx, then=lambda result: result):
+    """[then(fn(item)) for item in items]. Serial without ``ctx.pool``;
+    with it, at most max_concurrency items run at once: the calling thread
+    and helper tasks on the pool take items from one shared iterator, and the
+    caller cancels each helper no thread has started rather than wait on it,
+    so maps nested in the one pool cannot deadlock. ``then`` runs on the
+    calling thread in item order: right after each item when serial, once
+    every item has finished otherwise. Once an item raises, no further item
+    starts; the items already running finish, then the first error is
+    raised."""
+    if ctx.pool is None or len(items) <= 1:
         return [then(fn(item)) for item in items]
+    results = [None] * len(items)
     errors = []
+    indices = iter(range(len(items)))  # next() holds the GIL: no lock
 
-    def run(item):
-        if not errors:
+    def work():
+        for index in indices:
+            if errors:
+                return
             try:
-                return fn(item)
+                results[index] = fn(items[index])
             except BaseException as err:
                 errors.append(err)
-                raise
+                return
 
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(run, item) for item in items]
+    width = min(ctx.config.max_concurrency, len(items))
+    helpers = [ctx.pool.submit(work) for _ in range(width - 1)]
+    work()
+    for helper in helpers:
+        helper.cancel() or helper.result()
     if errors:
         raise errors[0]
-    return [then(future.result()) for future in futures]
-
-
-def _workers(ctx) -> int:
-    """Threads for a map whose items call the gateway: max_concurrency in
-    record mode, where workers wait on the backend, and one in replay, which
-    is CPU-bound, so threads would only pass the GIL back and forth."""
-    if ctx.gateway.config.mode == "replay":
-        return 1
-    return ctx.config.max_concurrency
+    return [then(result) for result in results]
 
 
 def _call(ctx, trace, stage, name, request):
@@ -425,7 +431,7 @@ def _weigh_cells(problem, ctx, table, trace, bias, constraints_text) -> WeightMa
             }))
         for (i, j) in cells
     ]
-    completions = _map(ctx.gateway.complete, requests, _workers(ctx))
+    completions = _map(ctx.gateway.complete, requests, ctx)
 
     rows = [[0.0] * m for _ in range(n)]
     for (i, j), request, completion in zip(cells, requests, completions):
@@ -628,8 +634,9 @@ def execute_run(problem: DecisionProblem, ctx: ExperimentContext,
 
 def run_experiment(problems, ctx: ExperimentContext, repeats: int = 1,
                    interrupt=None, on_record=None) -> list[RunRecord]:
-    """Execute repeats x problems, in record mode optionally across a bounded
-    thread pool (see `_workers`).
+    """Execute repeats x problems. In record mode at max_concurrency c > 1
+    they run on one pool of c * c - 1 threads, which each run's weigh cells
+    share (see `_map`); replay is CPU-bound and runs on the calling thread.
 
     Tasks start repeat-major: every problem's repeat 0 before any repeat 1.
     The deterministic stages of a later repeat send the same requests as
@@ -657,7 +664,12 @@ def run_experiment(problems, ctx: ExperimentContext, repeats: int = 1,
             return record
         return on_record(record)
 
-    results = _map(run, tasks, _workers(ctx), finish)
+    c = ctx.config.max_concurrency
+    pooled = ctx.gateway.config.mode != "replay" and c > 1
+    with (ThreadPoolExecutor(max_workers=c * c - 1) if pooled
+          else nullcontext()) as pool:
+        ctx = replace(ctx, pool=pool)  # run() reads ctx when it is called
+        results = _map(run, tasks, ctx, finish)
     return [record for _, record in sorted(zip(tasks, results),
                                            key=lambda pair: pair[0])
             if record is not None]

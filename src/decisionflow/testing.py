@@ -90,6 +90,38 @@ def _verbal_for(action: str, attribute: str) -> str:
     return VERBAL_LEVELS[index]
 
 
+def _table_reply(rows) -> str:
+    """S1 attribute-table completion; rows are (action, [(attribute, value)])."""
+    return json.dumps({"Variable": [
+        {
+            "Variable": action,
+            "Attribute": [{"Attribute": attribute, "Value": value}
+                          for attribute, value in pairs],
+        }
+        for action, pairs in rows
+    ]}, ensure_ascii=False)
+
+
+def _weigh_reply(explanation: str, weight: float) -> str:
+    return json.dumps({"Explanation": explanation, "Weight": weight},
+                      ensure_ascii=False)
+
+
+def _scores_reply(reasoning: str, cells, pinned) -> str:
+    """S3 grounding completion: each prompt cell scores its value in
+    ``pinned`` under (action, attribute), else a hash-derived one."""
+    return json.dumps({"Reasoning": reasoning, "Scores": [
+        {
+            "Variable": cell["Variable"],
+            "Attribute": cell["Attribute"],
+            "Score": pinned.get(
+                (cell["Variable"], cell["Attribute"]),
+                unit_hash(cell["Variable"], cell["Attribute"], "score")),
+        }
+        for cell in cells
+    ]}, ensure_ascii=False)
+
+
 def default_stage_script(request: CompletionRequest) -> str:
     """Schema-correct completion for any pipeline request.
 
@@ -111,41 +143,22 @@ def default_stage_script(request: CompletionRequest) -> str:
 
     if tag == "summarize_attributes":
         actions = _bullet_block(prompt, "Candidate actions (one variable per action):")
-        variables = [
-            {
-                "Variable": action,
-                "Attribute": [
-                    {"Attribute": attribute, "Value": _verbal_for(action, attribute)}
-                    for attribute in GENERIC_ATTRIBUTES
-                ],
-            }
+        return _table_reply(
+            (action, [(attribute, _verbal_for(action, attribute))
+                      for attribute in GENERIC_ATTRIBUTES])
             for action in actions
-        ]
-        return json.dumps({"Variable": variables}, ensure_ascii=False)
+        )
 
     if tag == "weigh":
         action = _ACTION_LINE_RE.search(prompt).group(1)
         attribute = _ATTRIBUTE_LINE_RE.search(prompt).group(1)
-        weight = unit_hash(action, attribute, "weight")
-        return json.dumps({
-            "Explanation": f"{attribute} bears directly on {action}.",
-            "Weight": weight,
-        }, ensure_ascii=False)
+        return _weigh_reply(f"{attribute} bears directly on {action}.",
+                            unit_hash(action, attribute, "weight"))
 
     if tag == "ground_and_decide":
-        scores = [
-            {
-                "Variable": cell["Variable"],
-                "Attribute": cell["Attribute"],
-                "Score": unit_hash(cell["Variable"], cell["Attribute"], "score"),
-            }
-            for cell in _cells_from_prompt(prompt)
-        ]
-        return json.dumps({
-            "Reasoning": "Scores reflect how favorably each reported value "
-                         "reads under the directive.",
-            "Scores": scores,
-        }, ensure_ascii=False)
+        return _scores_reply(
+            "Scores reflect how favorably each reported value reads under "
+            "the directive.", _cells_from_prompt(prompt), {})
 
     if tag == "rationale":
         return RATIONALE_TEXT
@@ -239,51 +252,25 @@ def fixture_script(request: CompletionRequest) -> str:
                           ensure_ascii=False)
 
     if tag == "summarize_attributes" and CASE_STUDY_ACTIONS[1] in prompt:
-        variables = [
-            {
-                "Variable": action,
-                "Attribute": [
-                    {"Attribute": attribute, "Value": value}
-                    for attribute, value in CASE_STUDY_TABLE[action]
-                ],
-            }
-            for action in CASE_STUDY_ACTIONS
-        ]
-        return json.dumps({"Variable": variables}, ensure_ascii=False)
+        return _table_reply(CASE_STUDY_TABLE.items())
 
     if tag == "weigh":
         action = _ACTION_LINE_RE.search(prompt).group(1)
         attribute = _ATTRIBUTE_LINE_RE.search(prompt).group(1)
         if (action, attribute) in CASE_STUDY_WEIGHTS:
-            return json.dumps({
-                "Explanation": f"{attribute} is central to the directive.",
-                "Weight": CASE_STUDY_WEIGHTS[(action, attribute)],
-            }, ensure_ascii=False)
+            return _weigh_reply(f"{attribute} is central to the directive.",
+                                CASE_STUDY_WEIGHTS[(action, attribute)])
         if any(marker in action for marker in DEGENERATE_ACTION_MARKERS):
-            return json.dumps({
-                "Explanation": "This attribute barely matters here.",
-                "Weight": DEGENERATE_WEIGHT,
-            }, ensure_ascii=False)
+            return _weigh_reply("This attribute barely matters here.",
+                                DEGENERATE_WEIGHT)
 
     if tag == "ground_and_decide":
         cells = _cells_from_prompt(prompt)
         if any((c["Variable"], c["Attribute"]) in CASE_STUDY_SCORES for c in cells):
-            scores = [
-                {
-                    "Variable": cell["Variable"],
-                    "Attribute": cell["Attribute"],
-                    "Score": CASE_STUDY_SCORES.get(
-                        (cell["Variable"], cell["Attribute"]),
-                        unit_hash(cell["Variable"], cell["Attribute"], "score"),
-                    ),
-                }
-                for cell in cells
-            ]
-            return json.dumps({
-                "Reasoning": "The bomber's treatable wound and survival odds "
-                             "dominate under a save-the-most-lives directive.",
-                "Scores": scores,
-            }, ensure_ascii=False)
+            return _scores_reply(
+                "The bomber's treatable wound and survival odds dominate "
+                "under a save-the-most-lives directive.", cells,
+                CASE_STUDY_SCORES)
 
     if tag in ("zero_shot", "cot", "self_consistency") and REFUSAL_MARKER in prompt:
         return REFUSAL_TEXT

@@ -7,9 +7,12 @@ so the numbers asserted here are frozen by the script, not by chance.
 from __future__ import annotations
 
 import json
+import sys
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 
@@ -267,17 +270,20 @@ class TestReplayAndConcurrency:
         assert counts["has"] == 0
         assert counts["opens"] == calls
 
+    @pytest.mark.parametrize("concurrency", [1, 2, 4])
     def test_concurrency_does_not_change_trace(self, ctx_factory,
-                                               bomber_problem, tmp_path):
+                                               bomber_problem, tmp_path,
+                                               concurrency):
         record_ctx = ctx_factory("decisionflow")
         run_problem(bomber_problem, record_ctx)
         serial = run_problem(
             bomber_problem, ctx_factory("decisionflow", gateway_mode="replay",
                                         max_concurrency=1))
-        # replay runs on one thread, so the threaded run records afresh
-        threaded = run_problem(
-            bomber_problem, ctx_factory("decisionflow", max_concurrency=4,
-                                        transcript_dir=tmp_path / "threaded"))
+        # replay runs on one thread, so the threaded run records afresh;
+        # only run_experiment opens the pool that the weigh cells share
+        (threaded,) = run_experiment([bomber_problem], ctx_factory(
+            "decisionflow", max_concurrency=concurrency,
+            transcript_dir=tmp_path / "threaded"))
         assert json.dumps(serial.trace) == json.dumps(threaded.trace)
 
     def test_replay_starts_no_thread(self, ctx_factory, mta_problems,
@@ -502,6 +508,69 @@ class TestRunner:
             gateway.live_calls == len(gateway.store.digests()) == 90
         assert gateway.live_calls + gateway.cache_hits == \
             sum(r.llm_calls for r in records) == 288
+
+    @pytest.mark.parametrize("concurrency", [2, 3])
+    def test_record_threads_stay_within_one_pool(self, tmp_path, templates,
+                                                 mta_problems, concurrency):
+        # c runs at once, each with c weigh calls at once: the calling thread
+        # plus c * c - 1 pool threads
+        transport = CountingTransport()
+        active = []
+        send = transport.send
+
+        def counting_send(request):
+            active.append(threading.active_count())
+            return send(request)
+
+        transport.send = counting_send
+        gateway = LlmGateway(
+            GatewayConfig(mode="record", transcript_dir=tmp_path / "store"),
+            transport,
+        )
+        ctx = ExperimentContext(
+            PipelineConfig(mode="decisionflow", max_concurrency=concurrency),
+            gateway, templates,
+        )
+        before = threading.active_count()
+        records = run_experiment(mta_problems, ctx)
+        assert len(records) == len(mta_problems)
+        assert max(active) - before <= concurrency * concurrency - 1
+
+    @pytest.mark.parametrize("pool_threads", [1, 15])
+    def test_nested_maps_run_each_item_once_on_any_pool(self, pool_threads):
+        # 4 outer items, each mapping 50 inner ones, on the pool run_experiment
+        # would open at c=4 (15 threads) and on one far too small for it
+        done = []
+
+        def inner(item):
+            done.append(item)
+            return item
+
+        def outer(i):
+            return pipeline._map(inner, [(i, j) for j in range(50)], ctx)
+
+        def run():
+            result.append(pipeline._map(outer, list(range(4)), ctx))
+
+        result = []
+        pool = ThreadPoolExecutor(max_workers=pool_threads)
+        ctx = SimpleNamespace(pool=pool,
+                              config=SimpleNamespace(max_concurrency=4))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runner = threading.Thread(target=run, daemon=True)
+            runner.start()
+            runner.join(30)
+            assert not runner.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+            # a deadlocked map waits on a queued helper: cancelling it frees
+            # the pool threads
+            pool.shutdown(cancel_futures=True)
+        expected = [[(i, j) for j in range(50)] for i in range(4)]
+        assert result == [expected]
+        assert sorted(done) == [cell for row in expected for cell in row]
 
     @pytest.mark.parametrize("concurrency", [1, 2])
     def test_interrupt_stops_further_tasks(self, ctx_factory, mta_problems,
