@@ -8,7 +8,7 @@ byte-identical. Validation errors name the line and field.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .core import Constraint, DecisionProblem, parse_constraint
@@ -44,17 +44,6 @@ class MtaRecord:
     bias_text: str
     gold: int
 
-    def to_json(self) -> dict:
-        return {
-            "id": self.record_id,
-            "scenario": self.scenario,
-            "choices": list(self.choices),
-            "dma": self.dma,
-            "alignment": self.alignment,
-            "bias_text": self.bias_text,
-            "gold": self.gold,
-        }
-
 
 @dataclass(frozen=True)
 class DellmaRecord:
@@ -66,15 +55,6 @@ class DellmaRecord:
     actions: tuple[str, ...]
     gold: int
 
-    def to_json(self) -> dict:
-        return {
-            "id": self.record_id,
-            "domain": self.domain,
-            "context": self.context,
-            "actions": list(self.actions),
-            "gold": self.gold,
-        }
-
 
 @dataclass(frozen=True)
 class PredictionRow:
@@ -84,14 +64,6 @@ class PredictionRow:
     mode: str
     repeat: int
     answer: int | None  # None means abstained
-
-    def to_json(self) -> dict:
-        return {
-            "id": self.record_id,
-            "mode": self.mode,
-            "repeat": self.repeat,
-            "answer": ABSTAIN if self.answer is None else self.answer,
-        }
 
 
 def _field(obj: dict, name: str, types, line: int, *, required=True):
@@ -216,8 +188,14 @@ def load_dataset(path: str | Path, kind: str):
 
 
 def dumps_record(record) -> str:
-    """Canonical single-line serialization for any record type here."""
-    return json.dumps(record.to_json(), ensure_ascii=False)
+    """Canonical single-line serialization for any record type here: its
+    fields in order, ``record_id`` as "id", tuples as arrays and a None
+    answer as the abstain marker."""
+    row = {"id" if f.name == "record_id" else f.name: getattr(record, f.name)
+           for f in fields(record)}
+    if "answer" in row and row["answer"] is None:
+        row["answer"] = ABSTAIN
+    return json.dumps(row, ensure_ascii=False)
 
 
 def write_json(value, path: str | Path, *, sort_keys: bool = True) -> None:

@@ -37,6 +37,8 @@ DEFAULT_MAX_TOKENS = 4096
 GATEWAY_MODES = ("replay", "record")
 # sends per record-mode request; transport errors are retried, nothing else is
 MAX_ATTEMPTS = 3
+# seconds before the first retry, doubled before each later one
+BACKOFF_S = 0.5
 # record-mode sends in flight at once, across every thread of one gateway
 MAX_IN_FLIGHT = 4
 # where HttpTransport posts, under the base URL, and how long it waits
@@ -287,7 +289,6 @@ class GatewayConfig:
     mode: str = "replay"  # one of GATEWAY_MODES
     transcript_dir: str | Path = "transcripts"
     base_url: str | None = None
-    backoff: float = 0.5
 
     def __post_init__(self):
         if self.mode not in GATEWAY_MODES:
@@ -408,7 +409,7 @@ class LlmGateway:
             except TransportError as err:
                 last = err
                 if attempt < MAX_ATTEMPTS:
-                    delay = self.config.backoff * (2 ** (attempt - 1))
+                    delay = BACKOFF_S * (2 ** (attempt - 1))
                     log.warning(
                         "transport failure (attempt %d/%d), retrying in %.2fs: %s",
                         attempt,

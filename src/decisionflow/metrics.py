@@ -17,23 +17,6 @@ from statistics import fmean, stdev
 
 from .datasets import DATASET_KINDS, PredictionRow, write_json
 
-__all__ = [
-    "RepeatStats",
-    "UsageSummary",
-    "accuracy_percent",
-    "average_accuracy",
-    "bias_score",
-    "repeat_stats",
-    "usage_summary",
-    "evaluate",
-    "sweep_report",
-    "render_markdown",
-    "render_sweep_markdown",
-    "write_report",
-    "format_2dp",
-]
-
-
 def accuracy_percent(flags) -> float:
     """Percent of true flags; raises on an empty series."""
     flags = list(flags)

@@ -285,9 +285,9 @@ def fixture_script(request: CompletionRequest) -> str:
 class ScriptedTransport:
     """Transport stand-in that answers from a script function.
 
-    The script maps a CompletionRequest to completion text (or to a full
-    BackendReply for finer control). Token counts are whitespace counts and
-    latency is digest-derived, so recorded transcripts are reproducible.
+    The script maps a CompletionRequest to completion text. Token counts are
+    whitespace counts and latency is digest-derived, so recorded transcripts
+    are reproducible.
     """
 
     def __init__(self, script=fixture_script):
@@ -297,8 +297,6 @@ class ScriptedTransport:
     def send(self, request: CompletionRequest) -> BackendReply:
         self.calls += 1
         scripted = self.script(request)
-        if isinstance(scripted, BackendReply):
-            return scripted
         return BackendReply(
             text=scripted,
             prompt_tokens=count_tokens(request.prompt),

@@ -29,7 +29,7 @@ from decisionflow.gateway import (
     TranscriptStore,
 )
 from decisionflow.metrics import evaluate
-from decisionflow.testing import ScriptedTransport
+from decisionflow.testing import ScriptedTransport, fixture_script
 
 
 def make_config(tmp_path, name="config.json", **overrides) -> Path:
@@ -197,6 +197,19 @@ class TestConfigValues:
             assert re.search(rf"\b{named}\b", err), err
         else:
             assert named in err, err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    @pytest.mark.parametrize("max_tokens", ["0", "5000"])
+    def test_max_tokens_out_of_range_fails_before_out(self, tmp_path, capsys,
+                                                       command, max_tokens):
+        config = make_config(tmp_path)
+        argv = [command, "--config", str(config), "--max-tokens", max_tokens]
+        if command == "sweep":
+            argv += ["--grid", "epsilon=0.3"]
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: max_tokens ") and err.count("\n") == 1
         assert not (tmp_path / "out").exists()
 
     def test_int_is_taken_for_a_float(self, tmp_path):
@@ -591,7 +604,88 @@ class TestEvalCommand:
         assert "error:" in capsys.readouterr().err
 
 
+class ThreadCountingTransport(ScriptedTransport):
+    """Scripted backend that notes, under a lock, each send's digest and the
+    live thread count, and holds each send for a moment so workers overlap."""
+
+    def __init__(self):
+        super().__init__()
+        self.digests = set()
+        self.active = []
+        self._lock = threading.Lock()
+
+    def send(self, request):
+        with self._lock:
+            self.digests.add(request.digest)
+            self.active.append(threading.active_count())
+        time.sleep(0.002)
+        return super().send(request)
+
+
+def record_sweep_config(tmp_path, monkeypatch, transport, concurrency):
+    monkeypatch.setattr(cli, "_make_transport", lambda resolved: transport)
+    return make_config(tmp_path, gateway_mode="record",
+                       transcripts=str(tmp_path / "store"),
+                       max_concurrency=concurrency)
+
+
 class TestSweepCommand:
+    def test_record_sweep_runs_on_the_run_pool(self, tmp_path, monkeypatch):
+        # c runs at once, each with c weigh calls at once: the calling
+        # thread plus c * c - 1 pool threads, and one send per digest
+        transport = ThreadCountingTransport()
+        config = record_sweep_config(tmp_path, monkeypatch, transport, 2)
+        before = threading.active_count()
+        assert cli.main(["sweep", "--config", str(config),
+                         "--grid", "epsilon=0.0,0.3"]) == 0
+        assert 0 < max(transport.active) - before <= 2 * 2 - 1
+        assert len(transport.active) == len(transport.digests) == 90
+
+    @pytest.mark.parametrize("concurrency", [1, 2])
+    def test_abstaining_run_stops_the_sweep(self, tmp_path, monkeypatch,
+                                            capsys, concurrency):
+        records = load_dataset(DATASET_DIR / "mta_small.jsonl", "mta")
+        broken = records[2]
+
+        def script(request):
+            if request.stage_tag == "summarize_attributes" \
+                    and broken.bias_text in request.prompt:
+                return "no attribute table here"
+            return fixture_script(request)
+
+        started = count_runs(monkeypatch)
+        config = record_sweep_config(
+            tmp_path, monkeypatch, ScriptedTransport(script), concurrency)
+        assert cli.main(["sweep", "--config", str(config),
+                         "--grid", "epsilon=0.3"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert broken.record_id in err and "OutputParseError" in err
+        assert not (tmp_path / "out" / "sweep.json").exists()
+        if concurrency == 1:  # serial: no run starts after the abstention
+            assert started == [(r.record_id, 0) for r in records[:3]]
+
+    @pytest.mark.parametrize("concurrency", [1, 2])
+    def test_interrupt_stops_further_sweep_runs(self, tmp_path, monkeypatch,
+                                                concurrency):
+        execute = pipeline.execute_run
+        started = []
+
+        def interrupted_on_main_thread(problem, ctx, repeat=0):
+            started.append(problem.problem_id)
+            if threading.current_thread() is threading.main_thread() \
+                    and len(started) > 1:
+                raise KeyboardInterrupt
+            return execute(problem, ctx, repeat)
+
+        monkeypatch.setattr(pipeline, "execute_run", interrupted_on_main_thread)
+        config = record_sweep_config(tmp_path, monkeypatch,
+                                     ScriptedTransport(), concurrency)
+        assert cli.main(["sweep", "--config", str(config),
+                         "--grid", "epsilon=0.3"]) == cli.EXIT_INTERRUPTED
+        assert len(started) < 12
+        assert not (tmp_path / "out" / "sweep.json").exists()
+
     def test_sweep_outputs_and_monotone_support(self, tmp_path):
         config = make_config(tmp_path)
         assert cli.main([

@@ -10,7 +10,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
-from decisionflow import cli
+from decisionflow import cli, gateway
 from decisionflow.errors import (
     BackendError,
     ReplayMissError,
@@ -369,11 +369,15 @@ class FlakyTransport:
         )
 
 
+@pytest.fixture
+def fast_backoff(monkeypatch):
+    monkeypatch.setattr(gateway, "BACKOFF_S", 0.001)
+
+
+@pytest.mark.usefixtures("fast_backoff")
 class TestRetries:
     def _gateway(self, tmp_path, transport):
-        config = GatewayConfig(
-            mode="record", transcript_dir=tmp_path, backoff=0.001,
-        )
+        config = GatewayConfig(mode="record", transcript_dir=tmp_path)
         return LlmGateway(config, transport=transport)
 
     def test_retries_then_succeeds_and_reports_attempts(self, tmp_path):
@@ -433,13 +437,12 @@ class BlockingTransport:
         )
 
 
+@pytest.mark.usefixtures("fast_backoff")
 class TestSingleFlight:
     N = 16
 
     def _gateway(self, tmp_path, transport):
-        config = GatewayConfig(
-            mode="record", transcript_dir=tmp_path, backoff=0.001,
-        )
+        config = GatewayConfig(mode="record", transcript_dir=tmp_path)
         return LlmGateway(config, transport=transport)
 
     def _race(self, gw, transport):
@@ -564,10 +567,10 @@ class TestHttpTransportStatuses:
         with pytest.raises(TransportError, match="request failed"):
             transport.send(CompletionRequest("m", "p", 0.0, 64))
 
+    @pytest.mark.usefixtures("fast_backoff")
     def test_gateway_retries_a_refused_connection_then_raises(self, tmp_path):
         gw = LlmGateway(GatewayConfig(mode="record", transcript_dir=tmp_path,
-                                      base_url=_closed_port_url(),
-                                      backoff=0.001))
+                                      base_url=_closed_port_url()))
         sends = []
         send = gw.transport.send
         gw.transport.send = lambda request: sends.append(request) or send(request)

@@ -1,20 +1,25 @@
-"""Frozen replay output per mode.
+"""Frozen replay output per mode, and the corpus it replays from.
 
 Each of the nine modes replays the bundled MTA config from the recorded
 corpus. A SHA-256 over ``predictions.jsonl`` plus every trace file (sorted by
 name) must equal the digest frozen here, so a refactor that changes a single
 prediction or trace byte fails, not only one that makes two replays of the
-same code disagree.
+same code disagree. Re-recording the corpus with
+``scripts/record_fixtures.py`` must give back every transcript file, byte for
+byte apart from its ``recorded_at`` time.
 """
 
 from __future__ import annotations
 
 import hashlib
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from conftest import CONFIG_DIR, REPO_ROOT
+from conftest import CONFIG_DIR, CORPUS_DIR, REPO_ROOT
 from decisionflow import cli
 from decisionflow.pipeline import MODES
 
@@ -63,3 +68,24 @@ def test_mode_replay_matches_pinned_digest(mode, tmp_path, monkeypatch):
     ])
     assert code == 0
     assert run_output_digest(out) == PINNED[mode]
+
+
+RECORDED_AT = re.compile(rb'\n  "recorded_at": "[^"]*",\n')
+
+
+def _transcripts(root: Path) -> dict[str, bytes]:
+    """Relative path -> file bytes with the recorded_at line taken out."""
+    return {str(path.relative_to(root)):
+            RECORDED_AT.sub(b"\n", path.read_bytes())
+            for path in root.rglob("*") if path.is_file()}
+
+
+def test_record_fixtures_reproduces_the_corpus(tmp_path):
+    out = tmp_path / "transcripts"
+    subprocess.run([sys.executable, str(REPO_ROOT / "scripts" /
+                                        "record_fixtures.py"),
+                    "--out", str(out)],
+                   check=True, capture_output=True, timeout=120)
+    recorded = _transcripts(out)
+    assert len(recorded) == 311
+    assert recorded == _transcripts(CORPUS_DIR)
