@@ -28,6 +28,7 @@ from .datasets import (
     problems_from_records,
     write_json,
     write_predictions,
+    write_text,
 )
 from .errors import DecisionFlowError, ReplayMissError
 from .gateway import GATEWAY_MODES, GatewayConfig, LlmGateway, TranscriptStore
@@ -327,8 +328,7 @@ def cmd_sweep(args) -> int:
     report["config_digest"] = config_digest(resolved)
     report["live_calls"] = ctx.gateway.live_calls
     write_json(report, out_dir / "sweep.json")
-    (out_dir / "sweep.md").write_text(render_sweep_markdown(report),
-                                      encoding="utf-8")
+    write_text(render_sweep_markdown(report), out_dir / "sweep.md")
     for row in report["settings"]:
         print(f"{row['label']}: accuracy {row['accuracy']:.2f}, "
               f"{row['surviving_cells']} surviving cells")

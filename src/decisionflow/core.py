@@ -294,12 +294,11 @@ class FilterPolicy:
 class DecisionOutcome:
     """Final product of one run: chosen action, utilities, and the trace.
 
-    answer is None only when the run abstained (direct-prompting modes whose
-    completion could not be parsed). trace holds JSON-compatible stage events
-    in execution order.
+    A run that abstains raises instead, so every outcome has an answer.
+    trace holds JSON-compatible stage events in execution order.
     """
 
-    answer: int | None
+    answer: int
     utilities: tuple[float, ...]
     rationale: str
     trace: tuple[dict, ...] = ()
@@ -308,7 +307,7 @@ class DecisionOutcome:
         object.__setattr__(self, "utilities", tuple(float(u) for u in self.utilities))
         object.__setattr__(self, "trace", tuple(self.trace))
         n = len(self.utilities)
-        if self.answer is not None and not 0 <= self.answer < n:
+        if not 0 <= self.answer < n:
             raise ValueError(f"answer {self.answer} out of range for {n} actions")
 
 

@@ -8,6 +8,9 @@ byte-identical. Validation errors name the line and field.
 from __future__ import annotations
 
 import json
+import os
+import threading
+from contextlib import suppress
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -198,18 +201,30 @@ def dumps_record(record) -> str:
     return json.dumps(row, ensure_ascii=False)
 
 
+def write_text(text: str, path: str | Path) -> None:
+    """Every file the package writes goes through here, whole or not at all:
+    the UTF-8 bytes go to a temporary file beside path, which then replaces
+    path. Plain open gives the file the umask's mode."""
+    tmp = f"{path}.{os.getpid()}-{threading.get_ident()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(text.encode("utf-8"))
+        os.replace(tmp, path)
+    except BaseException:
+        with suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
+
+
 def write_json(value, path: str | Path, *, sort_keys: bool = True) -> None:
     """Every JSON file the package writes: two-space indent, UTF-8, one
     trailing newline."""
-    Path(path).write_text(json.dumps(value, indent=2, sort_keys=sort_keys,
-                                     ensure_ascii=False) + "\n",
-                          encoding="utf-8")
+    write_text(json.dumps(value, indent=2, sort_keys=sort_keys,
+                          ensure_ascii=False) + "\n", path)
 
 
 def write_records(records, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for record in records:
-            fh.write(dumps_record(record) + "\n")
+    write_text("".join(dumps_record(record) + "\n" for record in records), path)
 
 
 def load_predictions(path: str | Path) -> list[PredictionRow]:

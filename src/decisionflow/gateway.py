@@ -13,7 +13,6 @@ import hashlib
 import json
 import logging
 import os
-import tempfile
 import threading
 import time
 from concurrent.futures import Future
@@ -22,6 +21,7 @@ from datetime import datetime, timezone
 from operator import attrgetter, itemgetter
 from pathlib import Path
 
+from .datasets import write_json
 from .errors import (
     BackendError,
     ReplayMissError,
@@ -87,8 +87,9 @@ class CompletionRequest:
             raise ValueError("prompt must be non-empty")
         if self.temperature < 0:
             raise ValueError("temperature must be >= 0")
-        if self.max_tokens < 1:
-            raise ValueError("max_tokens must be >= 1")
+        if not 1 <= self.max_tokens <= DEFAULT_MAX_TOKENS:
+            raise ValueError(f"max_tokens must be in 1..{DEFAULT_MAX_TOKENS}, "
+                             f"not {self.max_tokens}")
         if self.attempt < 0:
             raise ValueError("attempt index must be >= 0")
         if self.stage_tag not in STAGE_TAGS:
@@ -165,19 +166,9 @@ class TranscriptStore:
         return entry
 
     def write(self, digest: str, entry: dict) -> None:
-        """Atomic write: temp file in the destination directory, then rename."""
         path = self.path_for(digest)
         path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump(entry, fh, indent=2, sort_keys=True, ensure_ascii=False)
-                fh.write("\n")
-            os.replace(tmp, path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
+        write_json(entry, path)
 
     def digests(self) -> list[str]:
         return sorted(p.stem for p in self.root.glob("*/*.json"))
@@ -320,11 +311,6 @@ class LlmGateway:
         self._in_flight: dict[str, Future] = {}
 
     def complete(self, request: CompletionRequest) -> Completion:
-        if request.max_tokens > DEFAULT_MAX_TOKENS:
-            raise ValueError(
-                f"max_tokens {request.max_tokens} exceeds ceiling "
-                f"{DEFAULT_MAX_TOKENS}"
-            )
         digest = request.digest
         completion = self._lookup(request)
         if completion is not None:

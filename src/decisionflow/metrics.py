@@ -15,7 +15,7 @@ from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
 from statistics import fmean, stdev
 
-from .datasets import DATASET_KINDS, PredictionRow, write_json
+from .datasets import DATASET_KINDS, PredictionRow, write_json, write_text
 
 def accuracy_percent(flags) -> float:
     """Percent of true flags; raises on an empty series."""
@@ -337,5 +337,5 @@ def write_report(report: dict, directory):
     json_path = directory / "report.json"
     md_path = directory / "report.md"
     write_json(report, json_path)
-    md_path.write_text(render_markdown(report), encoding="utf-8")
+    write_text(render_markdown(report), md_path)
     return json_path, md_path

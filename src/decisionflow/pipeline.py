@@ -600,15 +600,9 @@ def execute_run(problem: DecisionProblem, ctx: ExperimentContext,
     started = time.perf_counter()
     try:
         outcome = run_problem(problem, ctx, repeat)
-        trace = outcome.trace
-        answer = outcome.answer
-        abstained = answer is None
-        error = None
+        trace, answer, error = outcome.trace, outcome.answer, None
     except ABSTENTIONS as err:
-        trace = getattr(err, "trace", ())
-        answer = None
-        abstained = True
-        error = type(err).__name__
+        trace, answer, error = getattr(err, "trace", ()), None, type(err).__name__
         log.warning("run %s (%s, repeat %d) abstained: %s",
                     problem.problem_id, ctx.config.mode, repeat, err)
     wall = time.perf_counter() - started
@@ -620,7 +614,7 @@ def execute_run(problem: DecisionProblem, ctx: ExperimentContext,
         mode=ctx.config.mode,
         repeat=repeat,
         answer=answer,
-        abstained=abstained,
+        abstained=error is not None,
         error=error,
         prompt_tokens=prompt_tokens,
         response_tokens=response_tokens,

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import json
 import logging
-import math
 import re
 from dataclasses import dataclass
 from functools import cached_property
@@ -30,7 +29,8 @@ from importlib import resources
 from pathlib import Path
 from typing import Mapping
 
-from .core import NOT_MENTIONED, AttributeTable, RelevanceCell, canonical_name
+from .core import (NOT_MENTIONED, AttributeTable, RelevanceCell, canonical_name,
+                   finite_float)
 from .errors import (
     AlignmentError,
     AnswerRangeError,
@@ -265,16 +265,14 @@ def _json_object(text: str) -> dict:
 
 
 def _as_number(value: object) -> float | None:
-    if isinstance(value, bool):
-        return None
-    if isinstance(value, (int, float)):
-        return float(value)
+    """value, or the string value read by float(), as a finite float; None
+    for anything else, NaN, the infinities and ints past the float range."""
     if isinstance(value, str):
         try:
-            return float(value.strip())
+            value = float(value)
         except ValueError:
             return None
-    return None
+    return finite_float(value)
 
 
 def _label_tokens(label: str) -> set[str]:
@@ -425,7 +423,7 @@ def parse_weight(text: str) -> tuple[str, float]:
     if "Weight" not in payload:
         raise SchemaError("completion lacks a 'Weight' key", raw=text)
     weight = _as_number(payload["Weight"])
-    if weight is None or not math.isfinite(weight):
+    if weight is None:
         raise SchemaError(
             f"'Weight' is not a finite number: {payload['Weight']!r}", raw=text
         )
@@ -494,7 +492,7 @@ def parse_grounding(text: str, table: AttributeTable, surviving) -> tuple:
         value = _as_number(item.get("Score"))
         if value is None:
             raise SchemaError(
-                f"score for ({var!r}, {attr!r}) is not a number", raw=text
+                f"score for ({var!r}, {attr!r}) is not a finite number", raw=text
             )
         if not 0.0 <= value <= 1.0:
             clamped = min(1.0, max(0.0, value))

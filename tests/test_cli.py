@@ -6,8 +6,11 @@ import argparse
 import hashlib
 import json
 import math
+import os
 import re
 import signal
+import subprocess
+import sys
 import threading
 import time
 import tracemalloc
@@ -19,7 +22,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import CONFIG_DIR, CORPUS_DIR, DATASET_DIR, REPO_ROOT
-from decisionflow import cli, pipeline
+from decisionflow import cli, datasets, pipeline
 from decisionflow.core import FilterPolicy
 from decisionflow.datasets import load_dataset, load_predictions, write_records
 from decisionflow.gateway import (
@@ -276,6 +279,17 @@ class TestRunCommand:
         assert [r["id"] for r in failed] == ["mta-edge-refusal"]
         assert failed[0]["error"] == "OutputParseError"
 
+    def test_infinite_answer_is_an_abstention(self, tmp_path, monkeypatch):
+        transport = ScriptedTransport(lambda request: '{"Answer": Infinity}')
+        monkeypatch.setattr(cli, "_make_transport", lambda resolved: transport)
+        config = make_config(tmp_path, mode="zero_shot", gateway_mode="record",
+                             dataset=str(DATASET_DIR / "mta_edge.jsonl"),
+                             transcripts=str(tmp_path / "store"))
+        assert cli.main(["run", "--config", str(config)]) == 2
+        manifest = json.loads(
+            (tmp_path / "out" / "manifest.json").read_text())
+        assert [r["error"] for r in manifest["runs"]] == ["SchemaError"] * 2
+
     def test_flags_override_config(self, tmp_path):
         config = make_config(tmp_path)  # mode decisionflow in the file
         assert cli.main(["run", "--config", str(config), "--mode", "cot"]) == 0
@@ -531,23 +545,62 @@ class TestTraceOutput:
     def test_failed_trace_write_starts_no_further_run(self, tmp_path,
                                                       monkeypatch, capsys):
         started = count_runs(monkeypatch)
-        write_text = Path.write_text
         writes = []
 
-        def fail_second_trace(path, *args, **kwargs):
-            if path.parent.name == "traces":
-                writes.append(path.name)
-                if len(writes) == 2:
-                    raise OSError(f"disk full writing {path.name}")
-            return write_text(path, *args, **kwargs)
+        def fail_second_trace(file, mode="r", **kwargs):
+            fh = open(file, mode, **kwargs)
+            if Path(file).parent.name == "traces":
+                writes.append(Path(file).name)
+                if len(writes) == 2:  # part of it lands, then the disk fills
+                    fh.write(b"[\n")
+                    fh.close()
+                    raise OSError(f"disk full writing {Path(file).name}")
+            return fh
 
-        monkeypatch.setattr(Path, "write_text", fail_second_trace)
+        monkeypatch.setattr(datasets, "open", fail_second_trace, raising=False)
         config = make_config(tmp_path)
         assert cli.main(["run", "--config", str(config)]) == 1
         assert "disk full" in capsys.readouterr().err
         assert len(started) == 2
         assert len(trace_files(tmp_path / "out")) == 1
         assert not (tmp_path / "out" / "manifest.json").exists()
+        # the failed trace leaves no file, finished or temporary
+        left = [p.name for p in (tmp_path / "out" / "traces").iterdir()]
+        assert left == list(trace_files(tmp_path / "out"))
+
+    def test_write_past_the_file_size_limit_leaves_no_file(self, tmp_path):
+        """A run whose first trace write hits RLIMIT_FSIZE exits 1 and leaves
+        no truncated trace behind."""
+        child = (
+            "import resource, signal, sys\n"
+            "signal.signal(signal.SIGXFSZ, signal.SIG_IGN)\n"
+            "resource.setrlimit(resource.RLIMIT_FSIZE, (8000, 8000))\n"
+            "from decisionflow import cli\n"
+            "sys.exit(cli.main(sys.argv[1:]))\n"
+        )
+        out = tmp_path / "out"
+        env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src"),
+               "PYTHONDONTWRITEBYTECODE": "1"}
+        done = subprocess.run(
+            [sys.executable, "-c", child, "run", "--config",
+             str(CONFIG_DIR / "replay_mta_decisionflow.json"), "--out", str(out)],
+            cwd=REPO_ROOT, env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 1
+        assert done.stderr == "error: [Errno 27] File too large\n"
+        assert list((out / "traces").iterdir()) == []
+
+    def test_outputs_get_the_mode_plain_open_gives(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "_make_transport",
+                            lambda resolved: ScriptedTransport())
+        config = make_config(tmp_path, transcripts=str(tmp_path / "store"),
+                             gateway_mode="record")
+        assert cli.main(["run", "--config", str(config)]) == 0
+        trace = next((tmp_path / "out" / "traces").glob("*.json"))
+        transcript = next((tmp_path / "store").glob("*/*.json"))
+        for path in (trace, transcript):
+            plain = path.with_name("plain")
+            open(plain, "w").close()
+            assert path.stat().st_mode == plain.stat().st_mode, path
 
     def test_unusable_out_fails_before_the_first_run(self, tmp_path,
                                                      monkeypatch):

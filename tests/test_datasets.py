@@ -1,5 +1,6 @@
 """Dataset format tests: loading, validation, round-trips, predictions."""
 
+import importlib.util
 import json
 from pathlib import Path
 
@@ -63,6 +64,19 @@ class TestBundledFixtures:
             again = tmp_path / f"again_{name}"
             write_records(load_dataset(out, kind), again)
             assert again.read_bytes() == original
+
+    def test_make_datasets_regenerates_the_fixtures(self, tmp_path,
+                                                    monkeypatch):
+        spec = importlib.util.spec_from_file_location(
+            "make_datasets", FIXTURES.parent.parent / "scripts" / "make_datasets.py")
+        script = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(script)
+        monkeypatch.setattr(script, "ROOT", tmp_path)
+        script.main()
+        names = ("mta_small.jsonl", "dellma_small.jsonl", "mta_edge.jsonl")
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(names)
+        for name in names:
+            assert (tmp_path / name).read_bytes() == (FIXTURES / name).read_bytes()
 
 
 def _valid_mta_line(**overrides):

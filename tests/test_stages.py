@@ -11,13 +11,14 @@ from hypothesis import strategies as st
 from conftest import CORPUS_DIR
 from decisionflow import stages
 from decisionflow.core import NOT_MENTIONED, AttributeTable, RelevanceCell
-from decisionflow.errors import DecisionFlowError, TemplateError
+from decisionflow.errors import DecisionFlowError, SchemaError, TemplateError
 from decisionflow.stages import (
     STAGES,
     StageTemplate,
     extract_json_block,
     load_templates,
     parse_attribute_table,
+    parse_decision,
     parse_extraction,
     parse_grounding,
     parse_json_payload,
@@ -168,6 +169,28 @@ class TestParserWarnings:
             table = parse_attribute_table(text, ("alpha", "beta"))
         assert table.cells[0][0].verbal == "low"
         assert any("duplicate attribute" in rec.message for rec in caplog.records)
+
+
+TWO_BY_ONE = AttributeTable(actions=("alpha", "beta"), attributes=("Cost",),
+                            cells=((RelevanceCell("low"),),
+                                   (RelevanceCell("high"),)))
+
+
+@pytest.mark.parametrize("value", [
+    "Infinity", "-Infinity", "1e999", '"inf"', "NaN", '"nan"',
+    pytest.param("9" * 400, id="400-digit-int")])
+@pytest.mark.parametrize("parse", [
+    lambda v: parse_weight(f'{{"Weight": {v}}}'),
+    lambda v: parse_decision(f'{{"Answer": {v}}}', 2, index_base=1),
+    lambda v: parse_grounding(
+        f'{{"Scores": [{{"Variable": "alpha", "Attribute": "Cost", '
+        f'"Score": {v}}}]}}', TWO_BY_ONE, [(0, 0)]),
+], ids=["weight", "decision", "grounding"])
+def test_non_finite_number_is_a_schema_error(parse, value):
+    """A number no finite float holds is an abstention in every parser that
+    reads one: not a crash, and not clamped into range."""
+    with pytest.raises(SchemaError):
+        parse(value)
 
 
 class TestLabelsCanonicalisedOncePerParse:
