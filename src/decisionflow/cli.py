@@ -386,10 +386,9 @@ def _add_config_flags(parser, *, writes=True):
     parser.add_argument("--self-consistency-k", type=int)
     parser.add_argument(
         "--max-concurrency", type=int,
-        help="c: record mode runs at most c runs and c weigh calls per run "
-             "at once, on one pool of c*c threads in all (the gateway "
-             "separately caps sends at MAX_IN_FLIGHT=4); replay is CPU-bound, "
-             "so it runs on one thread whatever this says")
+        help="c: runs at once; record mode also runs c weigh calls per run "
+             "at once, on c*c threads in all (the gateway caps sends at "
+             "MAX_IN_FLIGHT=4), and replay forks c worker processes")
     parser.add_argument("--max-tokens", type=int)
 
 

@@ -204,15 +204,19 @@ def dumps_record(record) -> str:
 def write_text(text: str, path: str | Path) -> None:
     """Every file the package writes goes through here, whole or not at all:
     the UTF-8 bytes go to a temporary file beside path, which then replaces
-    path. Plain open gives the file the umask's mode."""
+    path. Plain open gives the file the umask's mode. A failed write raises
+    its OSError naming path, not the temporary file."""
     tmp = f"{path}.{os.getpid()}-{threading.get_ident()}.tmp"
     try:
         with open(tmp, "wb") as fh:
             fh.write(text.encode("utf-8"))
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as err:
         with suppress(FileNotFoundError):
             os.unlink(tmp)
+        if isinstance(err, OSError) and err.filename == tmp:
+            err.filename = os.fspath(path)  # the file the caller named
+            del err.filename2  # os.replace's target, path again
         raise
 
 

@@ -7,9 +7,14 @@ dataset errors are fatal for the whole run.
 
 from __future__ import annotations
 
+import copyreg
+
 
 class DecisionFlowError(Exception):
     """Base class for every error raised by this package."""
+
+    def __reduce__(self):  # without __init__, which would decorate args
+        return copyreg.__newobj__, (type(self), *self.args), self.__dict__
 
 
 class ShapeError(DecisionFlowError):

@@ -12,10 +12,13 @@ from __future__ import annotations
 
 import json
 import logging
+import os
+import signal
 import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
+from itertools import islice
 
 from .core import (
     DecisionOutcome,
@@ -87,7 +90,7 @@ class PipelineConfig:
     max_tokens: int = DEFAULT_MAX_TOKENS
     # c: in record mode at most c runs, and c weigh calls per run, at once on
     # one pool, c * c threads in all (the gateway separately caps sends at
-    # MAX_IN_FLIGHT); replay is CPU-bound and runs on one thread whatever c is
+    # MAX_IN_FLIGHT); replay runs c runs at once in c forked processes
     max_concurrency: int = 1
 
     def __post_init__(self):
@@ -189,6 +192,46 @@ def _map(fn, items, ctx, then=lambda result: result):
     if errors:
         raise errors[0]
     return [then(result) for result in results]
+
+
+_worker_job = None  # (fn, gateway) of a forked replay worker, handed over
+
+
+def _adopt(job):  # the pool's initializer, run in each worker
+    global _worker_job
+    _worker_job = job
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent drains the pool
+
+
+def _work(item):  # fn(item) and the cache hits it made
+    fn, gateway = _worker_job
+    hits = gateway.cache_hits
+    return fn(item), gateway.cache_hits - hits
+
+
+def _fork_map(fn, items, ctx, interrupt):
+    """`run_experiment`'s map in replay at c > 1: fn(item) for each item on c
+    forked processes, at most c + 1 submitted (all the executor queues, so an
+    interrupt leaves none to cancel), in item order, with each one's hits."""
+    from concurrent.futures import ProcessPoolExecutor  # not in record mode
+    from multiprocessing import get_context
+
+    c = ctx.config.max_concurrency
+    pool = ProcessPoolExecutor(c, get_context("fork"), _adopt,
+                               ((fn, ctx.gateway),))
+    futures = (pool.submit(_work, item) for item in items
+               if interrupt is None or not interrupt.is_set())
+    results = []
+    try:
+        pending = list(islice(futures, c + 1))
+        while pending:
+            result, hits = pending.pop(0).result()
+            ctx.gateway.cache_hits += hits
+            results.append(result)
+            pending += islice(futures, 1)
+        return results
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def _call(ctx, trace, stage, name, request):
@@ -631,7 +674,8 @@ def run_experiment(problems, ctx: ExperimentContext, repeats: int = 1,
                    interrupt=None, on_record=None) -> list[RunRecord]:
     """Execute repeats x problems. In record mode at max_concurrency c > 1
     they run on one pool of c * c - 1 threads, which each run's weigh cells
-    share (see `_map`); replay is CPU-bound and runs on the calling thread.
+    share (see `_map`); replay at c > 1 runs them in c forked processes
+    (see `_fork_map`), or on the calling thread where os.fork is missing.
 
     Tasks start repeat-major: every problem's repeat 0 before any repeat 1.
     The deterministic stages of a later repeat send the same requests as
@@ -642,7 +686,9 @@ def run_experiment(problems, ctx: ExperimentContext, repeats: int = 1,
     the records of the finished tasks are returned, in that same order. A
     fatal error stops further tasks the same way (see `_map`), then is raised.
     `on_record`, if given, maps each finished record to the one returned; it
-    runs on the calling thread, in start order, as `_map` applies ``then``.
+    runs on the calling thread, in start order, as `_map` applies ``then``,
+    or in forked replay in the worker after its run: its return value comes
+    back, its side effects on the caller's memory do not.
     """
     # (problem index, repeat), in start order
     tasks = [(index, repeat) for repeat in range(repeats)
@@ -660,11 +706,14 @@ def run_experiment(problems, ctx: ExperimentContext, repeats: int = 1,
         return on_record(record)
 
     c = ctx.config.max_concurrency
-    pooled = ctx.gateway.config.mode != "replay" and c > 1
-    with (ThreadPoolExecutor(max_workers=c * c - 1) if pooled
-          else nullcontext()) as pool:
-        ctx = replace(ctx, pool=pool)  # run() reads ctx when it is called
-        results = _map(run, tasks, ctx, finish)
+    replay = ctx.gateway.config.mode == "replay"
+    if replay and c > 1 and len(tasks) > 1 and hasattr(os, "fork"):
+        results = _fork_map(lambda t: finish(run(t)), tasks, ctx, interrupt)
+    else:
+        with (ThreadPoolExecutor(max_workers=c * c - 1) if not replay and c > 1
+              else nullcontext()) as pool:
+            ctx = replace(ctx, pool=pool)  # run() reads ctx when it is called
+            results = _map(run, tasks, ctx, finish)
     return [record for _, record in sorted(zip(tasks, results),
                                            key=lambda pair: pair[0])
             if record is not None]

@@ -6,8 +6,10 @@ import argparse
 import hashlib
 import json
 import math
+import multiprocessing
 import os
 import re
+import shutil
 import signal
 import subprocess
 import sys
@@ -382,7 +384,8 @@ class TestRunCommand:
         monkeypatch.setattr(cli, "run_experiment", capture_event)
         monkeypatch.setattr(pipeline, "execute_run", execute_then_sigint)
         overrides = {}
-        if concurrency > 1:  # replay runs on one thread; record afresh
+        if concurrency > 1:  # replay would run execute_run in forked
+            # workers, where this SIGINT sender cannot reach the handler
             monkeypatch.setattr(cli, "_make_transport",
                                 lambda resolved: ScriptedTransport())
             overrides = {"gateway_mode": "record",
@@ -467,6 +470,19 @@ def trace_files(out: Path) -> dict[str, bytes]:
     return {p.name: p.read_bytes() for p in (out / "traces").glob("*.json")}
 
 
+def dataset_with_a_miss(tmp_path, at: int) -> Path:
+    """mta_small with a problem nobody recorded inserted at index ``at``."""
+    lines = (DATASET_DIR / "mta_small.jsonl").read_text(
+        encoding="utf-8").splitlines()
+    unrecorded = json.loads(lines[0])
+    unrecorded["id"] = "mta-unrecorded"
+    unrecorded["scenario"] += " Nobody recorded this one."
+    lines.insert(at, json.dumps(unrecorded))
+    dataset = tmp_path / "with_a_miss.jsonl"
+    dataset.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return dataset
+
+
 class TestTraceOutput:
     """`run` writes each trace file when its run finishes and keeps no trace
     after writing it; the manifest is written last."""
@@ -526,14 +542,7 @@ class TestTraceOutput:
         full = tmp_path / "full"
         assert cli.main(["run", "--config", str(make_config(tmp_path)),
                          "--out", str(full)]) == 0
-        lines = (DATASET_DIR / "mta_small.jsonl").read_text(
-            encoding="utf-8").splitlines()
-        unrecorded = json.loads(lines[0])
-        unrecorded["id"] = "mta-unrecorded"
-        unrecorded["scenario"] += " Nobody recorded this one."
-        dataset = tmp_path / "later_miss.jsonl"
-        dataset.write_text("\n".join([*lines, json.dumps(unrecorded)]) + "\n",
-                           encoding="utf-8")
+        dataset = dataset_with_a_miss(tmp_path, at=12)
         config = make_config(tmp_path, "miss.json", dataset=str(dataset))
         assert cli.main(["run", "--config", str(config)]) == 1
         out = tmp_path / "out"
@@ -627,6 +636,135 @@ class TestTraceOutput:
         assert cli.main(["sweep", "--config", str(config),
                          "--grid", "epsilon=0.3"]) == 1
         assert calls == []
+
+
+def start_cli(argv, **popen) -> subprocess.Popen:
+    """``decisionflow`` in a child process, importing this checkout."""
+    env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src"),
+           "PYTHONDONTWRITEBYTECODE": "1"}
+    return subprocess.Popen(
+        [sys.executable, "-c", "import sys; from decisionflow import cli; "
+         "sys.exit(cli.main(sys.argv[1:]))", *argv],
+        cwd=REPO_ROOT, env=env, stdout=subprocess.DEVNULL,
+        stderr=subprocess.PIPE, text=True, **popen)
+
+
+def session_members(sid: int) -> list[int]:
+    """Pids of the live processes in session ``sid``, read from /proc."""
+    members = []
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:  # state ppid pgrp session ... follow the ")" closing comm
+            fields = stat.read_text().rsplit(")", 1)[1].split()
+        except OSError:
+            continue  # the process ended while we looked
+        if int(fields[3]) == sid:
+            members.append(int(stat.parent.name))
+    return members
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+class TestForkedReplay:
+    """Replay at max_concurrency c > 1 runs each run, and its trace write, in
+    one of c forked worker processes."""
+
+    def test_output_does_not_depend_on_concurrency(self, tmp_path,
+                                                   monkeypatch):
+        pids = tmp_path / "pids"
+        write_json = cli.write_json
+
+        def write_noting_pid(value, path, **kwargs):
+            write_json(value, path, **kwargs)
+            if path.parent.name == "traces":
+                with open(pids, "a", encoding="ascii") as fh:
+                    fh.write(f"{os.getpid()}\n")
+
+        monkeypatch.setattr(cli, "write_json", write_noting_pid)
+        config = make_config(tmp_path, repeats=2)
+        out = tmp_path / "out"
+        outputs, writers = {}, {}
+        for c in (1, 2, 4):
+            assert cli.main(["run", "--config", str(config),
+                             "--max-concurrency", str(c)]) == 0
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert manifest["config"]["max_concurrency"] == c
+            for key in ("created_at", "config_digest"):
+                del manifest[key]
+            del manifest["config"]["max_concurrency"]
+            for run in manifest["runs"]:
+                del run["wall_time"]
+            outputs[c] = ((out / "predictions.jsonl").read_bytes(),
+                          trace_files(out), manifest)
+            writers[c] = set(pids.read_text().split())
+            pids.unlink()
+            shutil.rmtree(out)
+        assert len(outputs[1][1]) == 24
+        assert outputs[1][2]["gateway"] == {
+            "mode": "replay", "transcripts": str(CORPUS_DIR),
+            "live_calls": 0, "cache_hits": 192}
+        assert outputs[2] == outputs[1]
+        assert outputs[4] == outputs[1]
+        assert writers[1] == {str(os.getpid())}
+        for c in (2, 4):
+            assert len(writers[c]) >= 2
+            assert str(os.getpid()) not in writers[c]
+        assert multiprocessing.active_children() == []
+
+    def test_sigint_to_the_session_drains_the_workers(self, tmp_path):
+        config = make_config(tmp_path, repeats=40, max_concurrency=2)
+        full = tmp_path / "full"
+        assert cli.main(["run", "--config", str(config),
+                         "--out", str(full)]) == 0
+        out = tmp_path / "out"
+        proc = start_cli(["run", "--config", str(config)],
+                         start_new_session=True)
+        try:
+            deadline = time.monotonic() + 60
+            while not any((out / "traces").glob("*.json")):
+                assert proc.poll() is None and time.monotonic() < deadline
+                time.sleep(0.005)
+            os.killpg(proc.pid, signal.SIGINT)
+            _, err = proc.communicate(timeout=60)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+        assert proc.returncode == cli.EXIT_INTERRUPTED, err
+        assert err.splitlines() == [
+            "WARNING decisionflow.cli: interrupt received; draining in-flight "
+            "work"]
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["interrupted"] is True
+        left, reference = trace_files(out), trace_files(full)
+        assert 0 < len(left) < len(reference) == 480
+        assert len(manifest["runs"]) == len(left)
+        assert all(data == reference[name] for name, data in left.items())
+        assert session_members(proc.pid) == []
+
+    def test_replay_miss_stops_the_workers(self, tmp_path):
+        full = tmp_path / "full"
+        assert cli.main(["run", "--config", str(make_config(tmp_path)),
+                         "--out", str(full), "--repeats", "2"]) == 0
+        dataset = dataset_with_a_miss(tmp_path, at=11)
+        config = make_config(tmp_path, "miss.json", dataset=str(dataset),
+                             repeats=2, max_concurrency=2)
+        proc = start_cli(["run", "--config", str(config)])
+        _, err = proc.communicate(timeout=120)
+        assert proc.returncode == 1
+        digests = re.findall(r"[0-9a-f]{64}", err)
+        assert len(digests) == 1
+        assert err == ("error: no recorded transcript for request digest "
+                       f"{digests[0]}\n")
+        out = tmp_path / "out"
+        assert not (out / "manifest.json").exists()
+        assert not (out / "predictions.jsonl").exists()
+        left, reference = trace_files(out), trace_files(full)
+        ids = [json.loads(line)["id"] for line in
+               dataset.read_text(encoding="utf-8").splitlines()]
+        before = {f"{pid}__r0.json" for pid in ids[:11]}
+        # the miss is the 12th run; up to c runs past it may finish
+        assert before <= set(left)
+        assert len(left) <= len(before) + 2
+        assert all(data == reference[name] for name, data in left.items())
 
 
 class TestEvalCommand:

@@ -17,6 +17,7 @@ from decisionflow.datasets import (
     load_predictions,
     mta_problem,
     problems_from_records,
+    write_json,
     write_predictions,
     write_records,
 )
@@ -232,6 +233,22 @@ class TestPredictions:
         with pytest.raises(DatasetError) as err:
             load_predictions(path)
         assert err.value.field == "answer"
+
+
+class TestWriteText:
+    @pytest.mark.parametrize("case", ["missing_dir", "dir_in_the_way"])
+    def test_failed_write_names_the_file_asked_for(self, tmp_path, case):
+        if case == "missing_dir":  # open of the temporary file fails
+            path = tmp_path / "missing" / "x.json"
+        else:  # the rename over path fails
+            path = tmp_path / "x.json"
+            path.mkdir()
+        with pytest.raises(OSError) as err:
+            write_json({}, path)
+        assert str(path) in str(err.value)
+        assert ".tmp" not in str(err.value)
+        assert sorted(p.name for p in tmp_path.iterdir()) == \
+            (["x.json"] if case == "dir_in_the_way" else [])
 
 
 class TestProblemConversion:
