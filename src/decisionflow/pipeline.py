@@ -14,11 +14,12 @@ import json
 import logging
 import os
 import signal
+import struct
+import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
-from itertools import islice
 
 from .core import (
     DecisionOutcome,
@@ -161,13 +162,10 @@ def _map(fn, items, ctx, then=lambda result: result):
     caller cancels each helper no thread has started rather than wait on it,
     so maps nested in the one pool cannot deadlock. ``then`` runs on the
     calling thread in item order: right after each item when serial, once
-    every item has finished otherwise. It waits for the drain because
-    `run`'s ``then`` encodes and writes a trace, CPU work that on a worker
-    thread would run inside the wall time of the runs beside it: a copy that
-    wrote each trace on its worker raised record-dup's problem_p50_ms from
-    4.7-5.3 to 6.0-6.5 ms (2 vCPUs, Python 3.11.7), for 2 MB less peak RSS
-    at the same throughput. Once an item raises, no further item starts; the items
-    already running finish, then the first error is raised."""
+    every item has finished otherwise, since encoding `run`'s trace on a
+    worker thread would slow the runs beside it (see README, "CLI").
+    Once an item raises, no further item starts; the items already running
+    finish, then the first error is raised."""
     if ctx.pool is None or len(items) <= 1:
         return [then(fn(item)) for item in items]
     results = [None] * len(items)
@@ -194,44 +192,115 @@ def _map(fn, items, ctx, then=lambda result: result):
     return [then(result) for result in results]
 
 
-_worker_job = None  # (fn, gateway) of a forked replay worker, handed over
+def _read(fd, size) -> bytes:
+    """Exactly ``size`` bytes from ``fd``, or b"" if it ends before them."""
+    data = bytearray()
+    while len(data) < size and (chunk := os.read(fd, size - len(data))):
+        data += chunk
+    return data if len(data) == size else b""
 
 
-def _adopt(job):  # the pool's initializer, run in each worker
-    global _worker_job
-    _worker_job = job
-    signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent drains the pool
-
-
-def _work(item):  # fn(item) and the cache hits it made
-    fn, gateway = _worker_job
-    hits = gateway.cache_hits
-    return fn(item), gateway.cache_hits - hits
+def _worker(fn, gateway, items, mask, tickets, reply, inherited):
+    """A forked replay worker, which never returns: for each 4-byte item
+    index on the ``tickets`` pipe it writes to ``reply`` the length-prefixed
+    pickle of (index, ok, fn(item) or its error, cache hits made by it)."""
+    import pickle
+    status = 1
+    try:
+        signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent drains us
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        for fd in inherited:  # so the tickets end when the parent does
+            os.close(fd)
+        while ticket := _read(tickets, 4):
+            index, hits = struct.unpack("=I", ticket)[0], gateway.cache_hits
+            try:
+                value, ok = fn(items[index]), True
+            except Exception as err:  # the parent raises it
+                value, ok = err, False
+            hits = gateway.cache_hits - hits
+            try:
+                data = pickle.dumps((index, ok, value, hits))
+            except Exception as err:
+                data = pickle.dumps((index, False, DecisionFlowError(
+                    f"cannot pickle a {type(value).__name__}: {err}"), hits))
+            view = memoryview(struct.pack("=I", len(data)) + data)
+            while view:
+                view = view[os.write(reply, view):]
+        status = 0
+    finally:
+        try:
+            sys.stdout.flush()
+            sys.stderr.flush()
+        finally:
+            os._exit(status)
 
 
 def _fork_map(fn, items, ctx, interrupt):
-    """`run_experiment`'s map in replay at c > 1: fn(item) for each item on c
-    forked processes, at most c + 1 submitted (all the executor queues, so an
-    interrupt leaves none to cancel), in item order, with each one's hits."""
-    from concurrent.futures import ProcessPoolExecutor  # not in record mode
-    from multiprocessing import get_context
-
-    c = ctx.config.max_concurrency
-    pool = ProcessPoolExecutor(c, get_context("fork"), _adopt,
-                               ((fn, ctx.gateway),))
-    futures = (pool.submit(_work, item) for item in items
-               if interrupt is None or not interrupt.is_set())
-    results = []
+    """`run_experiment`'s map in replay at c > 1: [fn(item) for item in
+    items] on c forked `_worker`s, adding their cache hits to ctx.gateway.
+    Items go out in order on the ticket pipe, c + 1 at first and one more
+    per reply, until ``interrupt`` is set, an item fails or a worker dies;
+    those out then finish and the rest map to None. A dead worker's error,
+    or else the earliest failed item's, is raised."""
+    import pickle  # here, so that record mode and c = 1 load neither
+    import select
+    sys.stdout.flush()  # or each worker writes the parent's buffers again
+    sys.stderr.flush()
+    c = min(ctx.config.max_concurrency, len(items))
+    tickets, handout = os.pipe()
+    workers = {}  # reply pipe read end -> worker pid, until it is reaped
+    results, errors, sent, due = [None] * len(items), {}, 0, c + 1
+    poller = select.poll()
     try:
-        pending = list(islice(futures, c + 1))
-        while pending:
-            result, hits = pending.pop(0).result()
-            ctx.gateway.cache_hits += hits
-            results.append(result)
-            pending += islice(futures, 1)
+        for _ in range(c):
+            reader, writer = os.pipe()
+            workers[reader] = None
+            # a Ctrl-C during the fork reaches the parent only
+            mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+            try:
+                if (pid := os.fork()) == 0:
+                    _worker(fn, ctx.gateway, items, mask, tickets, writer,
+                            [handout, *workers])
+                workers[reader] = pid
+                poller.register(reader, select.POLLIN)
+            finally:
+                signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+                os.close(writer)
+        while workers:
+            if handout is not None:  # hand out ``due`` more tickets, or stop
+                stop = errors or (interrupt and interrupt.is_set())
+                upto = sent if stop else min(sent + due, len(items))
+                os.write(handout, struct.pack(f"={upto - sent}I",
+                                              *range(sent, upto)))
+                sent, due = upto, 0
+                if stop or sent == len(items):  # the workers exit once idle
+                    os.close(handout)
+                    handout = None
+            for reader, _ in poller.poll():
+                size = _read(reader, 4)
+                if data := size and _read(reader, *struct.unpack("=I", size)):
+                    index, ok, value, hits = pickle.loads(data)
+                    ctx.gateway.cache_hits += hits
+                    (results if ok else errors)[index] = value
+                    due += 1
+                    continue
+                poller.unregister(reader)  # the worker has exited
+                pid = workers.pop(reader)
+                os.close(reader)
+                if status := os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]):
+                    errors[-1] = DecisionFlowError(
+                        f"replay worker {pid} died: " + (
+                            signal.Signals(-status).name if status < 0
+                            else f"exit status {status}"))
+        if errors:  # a death (-1) first, then the earliest failed item
+            raise errors[min(errors)]
         return results
-    finally:
-        pool.shutdown(cancel_futures=True)
+    finally:  # readers first: a worker blocked on a reply then gets EPIPE
+        for fd in (tickets, handout, *workers):
+            if fd is not None:
+                os.close(fd)
+        for pid in filter(None, workers.values()):
+            os.waitpid(pid, 0)
 
 
 def _call(ctx, trace, stage, name, request):
@@ -646,8 +715,8 @@ def execute_run(problem: DecisionProblem, ctx: ExperimentContext,
         trace, answer, error = outcome.trace, outcome.answer, None
     except ABSTENTIONS as err:
         trace, answer, error = getattr(err, "trace", ()), None, type(err).__name__
-        log.warning("run %s (%s, repeat %d) abstained: %s",
-                    problem.problem_id, ctx.config.mode, repeat, err)
+        log.info("run %s (%s, repeat %d) abstained: %s",
+                 problem.problem_id, ctx.config.mode, repeat, err)
     wall = time.perf_counter() - started
     prompt_tokens, response_tokens, calls, latency, approximate = usage_totals(trace)
     attempts = tuple(event["payload"]["attempt"] for event in trace
@@ -672,23 +741,18 @@ def execute_run(problem: DecisionProblem, ctx: ExperimentContext,
 
 def run_experiment(problems, ctx: ExperimentContext, repeats: int = 1,
                    interrupt=None, on_record=None) -> list[RunRecord]:
-    """Execute repeats x problems. In record mode at max_concurrency c > 1
-    they run on one pool of c * c - 1 threads, which each run's weigh cells
-    share (see `_map`); replay at c > 1 runs them in c forked processes
-    (see `_fork_map`), or on the calling thread where os.fork is missing.
-
-    Tasks start repeat-major: every problem's repeat 0 before any repeat 1.
-    The deterministic stages of a later repeat send the same requests as
-    repeat 0, so they find those transcripts in the store, and concurrent
-    workers spend their time on distinct problems. Results come back ordered
-    by (problem order, repeat). `interrupt` is an optional threading.Event:
-    once it is set no further task starts, tasks already running finish, and
-    the records of the finished tasks are returned, in that same order. A
-    fatal error stops further tasks the same way (see `_map`), then is raised.
-    `on_record`, if given, maps each finished record to the one returned; it
-    runs on the calling thread, in start order, as `_map` applies ``then``,
-    or in forked replay in the worker after its run: its return value comes
-    back, its side effects on the caller's memory do not.
+    """Execute repeats x problems, repeat-major (every problem's repeat 0
+    first, so later repeats find repeat 0's transcripts in the store), and
+    return the records by (problem order, repeat). At max_concurrency c > 1,
+    record mode runs on one pool of c * c - 1 threads (see `_map`) and
+    replay on c forked processes (see `_fork_map`; serially without
+    os.fork). Once `interrupt` (a threading.Event) is set or a fatal error
+    occurs, no further run starts; those under way (in forked replay, the up
+    to c + 1 handed out) finish, then the finished records are returned or
+    the error is raised. `on_record`, if given, maps each finished record to
+    the one returned, on the calling thread in start order (as `_map`
+    applies ``then``) or, in forked replay, in the worker after its run,
+    where its side effects on the caller's memory are lost.
     """
     # (problem index, repeat), in start order
     tasks = [(index, repeat) for repeat in range(repeats)

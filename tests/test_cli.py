@@ -6,7 +6,6 @@ import argparse
 import hashlib
 import json
 import math
-import multiprocessing
 import os
 import re
 import shutil
@@ -470,17 +469,23 @@ def trace_files(out: Path) -> dict[str, bytes]:
     return {p.name: p.read_bytes() for p in (out / "traces").glob("*.json")}
 
 
-def dataset_with_a_miss(tmp_path, at: int) -> Path:
-    """mta_small with a problem nobody recorded inserted at index ``at``."""
+def dataset_with_misses(tmp_path, *at: int) -> Path:
+    """mta_small with a problem nobody recorded inserted at each index of
+    ``at`` (ascending), a different one for each index."""
     lines = (DATASET_DIR / "mta_small.jsonl").read_text(
         encoding="utf-8").splitlines()
-    unrecorded = json.loads(lines[0])
-    unrecorded["id"] = "mta-unrecorded"
-    unrecorded["scenario"] += " Nobody recorded this one."
-    lines.insert(at, json.dumps(unrecorded))
-    dataset = tmp_path / "with_a_miss.jsonl"
+    for index in at:
+        unrecorded = json.loads(lines[0])
+        unrecorded["id"] = f"mta-unrecorded-{index}"
+        unrecorded["scenario"] += f" Nobody recorded this one ({index})."
+        lines.insert(index, json.dumps(unrecorded))
+    dataset = tmp_path / f"misses_{'_'.join(map(str, at))}.jsonl"
     dataset.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return dataset
+
+
+def dataset_with_a_miss(tmp_path, at: int) -> Path:
+    return dataset_with_misses(tmp_path, at)
 
 
 class TestTraceOutput:
@@ -649,17 +654,26 @@ def start_cli(argv, **popen) -> subprocess.Popen:
         stderr=subprocess.PIPE, text=True, **popen)
 
 
-def session_members(sid: int) -> list[int]:
-    """Pids of the live processes in session ``sid``, read from /proc."""
+def processes_where(field: int, value: int) -> list[int]:
+    """Pids of the processes, zombies included, whose /proc stat ``field``
+    after the command name (1 is the parent pid, 3 the session) is ``value``."""
     members = []
     for stat in Path("/proc").glob("[0-9]*/stat"):
         try:  # state ppid pgrp session ... follow the ")" closing comm
             fields = stat.read_text().rsplit(")", 1)[1].split()
         except OSError:
             continue  # the process ended while we looked
-        if int(fields[3]) == sid:
+        if int(fields[field]) == value:
             members.append(int(stat.parent.name))
     return members
+
+
+def session_members(sid: int) -> list[int]:
+    return processes_where(3, sid)
+
+
+def children(pid: int) -> list[int]:
+    return processes_where(1, pid)
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
@@ -707,7 +721,7 @@ class TestForkedReplay:
         for c in (2, 4):
             assert len(writers[c]) >= 2
             assert str(os.getpid()) not in writers[c]
-        assert multiprocessing.active_children() == []
+        assert children(os.getpid()) == []
 
     def test_sigint_to_the_session_drains_the_workers(self, tmp_path):
         config = make_config(tmp_path, repeats=40, max_concurrency=2)
@@ -766,6 +780,84 @@ class TestForkedReplay:
         assert len(left) <= len(before) + 2
         assert all(data == reference[name] for name, data in left.items())
 
+    def test_earliest_error_is_raised(self, tmp_path, monkeypatch, capsys):
+        execute = pipeline.execute_run
+
+        def hold_back(problem, ctx, repeat=0):  # run 12's error comes first
+            if problem.problem_id == "mta-unrecorded-11":
+                time.sleep(0.1)
+            return execute(problem, ctx, repeat)
+
+        monkeypatch.setattr(pipeline, "execute_run", hold_back)
+        full = tmp_path / "full"
+        assert cli.main(["run", "--config", str(make_config(tmp_path)),
+                         "--out", str(full)]) == 0
+        reference = trace_files(full)
+        out = tmp_path / "out"
+
+        def run(dataset, c):
+            config = make_config(tmp_path, "miss.json", dataset=str(dataset),
+                                 max_concurrency=c)
+            assert cli.main(["run", "--config", str(config)]) == 1
+            left = trace_files(out)
+            shutil.rmtree(out)
+            return capsys.readouterr().err, left
+
+        # runs 11 and 12 miss; serially run 11's miss ends the run
+        dataset = dataset_with_misses(tmp_path, 11, 12)
+        first, _ = run(dataset, 1)
+        assert first != run(dataset_with_misses(tmp_path, 12), 1)[0]
+        ids = [json.loads(line)["id"] for line in
+               dataset.read_text(encoding="utf-8").splitlines()]
+        before = {f"{pid}__r0.json" for pid in ids[:11]}
+        for _ in range(5):
+            err, left = run(dataset, 2)
+            assert err == first
+            assert before <= set(left)
+            assert all(data == reference[name] for name, data in left.items())
+
+    def test_killed_worker_fails_the_run(self, tmp_path):
+        config = make_config(tmp_path, repeats=40, max_concurrency=2)
+        out = tmp_path / "out"
+        proc = start_cli(["run", "--config", str(config)],
+                         start_new_session=True)
+        try:
+            deadline = time.monotonic() + 60
+            while not any((out / "traces").glob("*.json")):
+                assert proc.poll() is None and time.monotonic() < deadline
+                time.sleep(0.005)
+            victim = min(children(proc.pid))
+            os.kill(victim, signal.SIGKILL)
+            _, err = proc.communicate(timeout=60)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+        assert proc.returncode == 1, err
+        assert err == f"error: replay worker {victim} died: SIGKILL\n"
+        assert not (out / "manifest.json").exists()
+        assert session_members(proc.pid) == []
+
+    def test_replay_loads_no_process_pool(self, tmp_path):
+        child = (
+            "import sys\n"
+            "from decisionflow import cli\n"
+            "code = cli.main(sys.argv[1:])\n"
+            "print(sorted({'multiprocessing', 'concurrent.futures.process'}"
+            " & set(sys.modules)))\n"
+            "sys.exit(code)\n"
+        )
+        config = make_config(tmp_path, max_concurrency=2)
+        env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src"),
+               "PYTHONDONTWRITEBYTECODE": "1"}
+        done = subprocess.run(
+            [sys.executable, "-c", child, "run", "--config", str(config)],
+            cwd=REPO_ROOT, env=env, capture_output=True, text=True,
+            timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert "12 runs" in done.stdout
+        assert done.stdout.splitlines()[-1] == "[]"
+
 
 class TestEvalCommand:
     def test_eval_matches_library_scoring(self, tmp_path):
@@ -820,6 +912,16 @@ def record_sweep_config(tmp_path, monkeypatch, transport, concurrency):
                        max_concurrency=concurrency)
 
 
+def abstaining_script(broken):
+    """The fixture script, but no attribute table for ``broken``'s run."""
+    def script(request):
+        if request.stage_tag == "summarize_attributes" \
+                and broken.bias_text in request.prompt:
+            return "no attribute table here"
+        return fixture_script(request)
+    return script
+
+
 class TestSweepCommand:
     def test_record_sweep_runs_on_the_run_pool(self, tmp_path, monkeypatch):
         # c runs at once, each with c weigh calls at once: the calling
@@ -837,16 +939,10 @@ class TestSweepCommand:
                                             capsys, concurrency):
         records = load_dataset(DATASET_DIR / "mta_small.jsonl", "mta")
         broken = records[2]
-
-        def script(request):
-            if request.stage_tag == "summarize_attributes" \
-                    and broken.bias_text in request.prompt:
-                return "no attribute table here"
-            return fixture_script(request)
-
         started = count_runs(monkeypatch)
         config = record_sweep_config(
-            tmp_path, monkeypatch, ScriptedTransport(script), concurrency)
+            tmp_path, monkeypatch, ScriptedTransport(abstaining_script(broken)),
+            concurrency)
         assert cli.main(["sweep", "--config", str(config),
                          "--grid", "epsilon=0.3"]) == 1
         err = capsys.readouterr().err
@@ -855,6 +951,23 @@ class TestSweepCommand:
         assert not (tmp_path / "out" / "sweep.json").exists()
         if concurrency == 1:  # serial: no run starts after the abstention
             assert started == [(r.record_id, 0) for r in records[:3]]
+
+    def test_abstaining_replay_sweep_prints_one_line(self, tmp_path,
+                                                     monkeypatch):
+        broken = load_dataset(DATASET_DIR / "mta_small.jsonl", "mta")[2]
+        store = str(tmp_path / "store")
+        record = record_sweep_config(
+            tmp_path, monkeypatch, ScriptedTransport(abstaining_script(broken)),
+            1)
+        assert cli.main(["run", "--config", str(record)]) == cli.EXIT_PARTIAL
+        config = make_config(tmp_path, "replay.json", transcripts=store,
+                             max_concurrency=2)
+        proc = start_cli(["sweep", "--config", str(config),
+                          "--grid", "epsilon=0.3"])
+        _, err = proc.communicate(timeout=120)
+        assert proc.returncode == 1
+        assert err == (f"error: cannot sweep: the run of {broken.record_id} "
+                       "abstained (OutputParseError)\n")
 
     @pytest.mark.parametrize("concurrency", [1, 2])
     def test_interrupt_stops_further_sweep_runs(self, tmp_path, monkeypatch,

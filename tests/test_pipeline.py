@@ -7,7 +7,10 @@ so the numbers asserted here are frozen by the script, not by chance.
 from __future__ import annotations
 
 import json
+import os
+import subprocess
 import sys
+import textwrap
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -16,7 +19,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from conftest import CORPUS_DIR
+from conftest import CORPUS_DIR, REPO_ROOT
 from decisionflow import gateway, pipeline
 from decisionflow.core import (
     Constraint,
@@ -24,7 +27,12 @@ from decisionflow.core import (
     FilterPolicy,
     feasible_actions,
 )
-from decisionflow.errors import BackendError, DecisionError, ReplayMissError
+from decisionflow.errors import (
+    BackendError,
+    DecisionError,
+    DecisionFlowError,
+    ReplayMissError,
+)
 from decisionflow.gateway import GatewayConfig, LlmGateway, request_digest
 from decisionflow.pipeline import (
     MODES,
@@ -660,6 +668,93 @@ class TestRunner:
         assert sum(e["usage"]["response_tokens"] for e in stored) == \
             record.response_tokens
         assert len(stored) == record.llm_calls
+
+
+def fork_ctx():
+    """What `_fork_map` reads of a context: c and the cache hit counter."""
+    return SimpleNamespace(config=SimpleNamespace(max_concurrency=2),
+                           gateway=SimpleNamespace(cache_hits=0))
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+class TestForkMap:
+    def test_results_come_back_in_item_order_with_their_hits(self):
+        ctx = fork_ctx()
+
+        def fn(item):  # every third item is slow, so replies cross
+            time.sleep(0.01 if item % 3 == 0 else 0)
+            ctx.gateway.cache_hits += item
+            return [item] * item
+
+        assert pipeline._fork_map(fn, list(range(10)), ctx, None) == [
+            [item] * item for item in range(10)]
+        assert ctx.gateway.cache_hits == 45
+        assert_no_child_left()
+
+    def test_a_set_interrupt_hands_out_nothing(self):
+        interrupt = threading.Event()
+        interrupt.set()
+        assert pipeline._fork_map(lambda item: item, [1, 2, 3], fork_ctx(),
+                                  interrupt) == [None] * 3
+        assert_no_child_left()
+
+    def test_an_unpicklable_result_is_an_error_naming_its_type(self):
+        def fn(item):
+            return threading.Lock() if item == 2 else item
+
+        with pytest.raises(DecisionFlowError, match="cannot pickle a lock"):
+            pipeline._fork_map(fn, list(range(5)), fork_ctx(), None)
+        assert_no_child_left()
+
+    def test_a_worker_that_exits_is_an_error_naming_its_status(self):
+        def fn(item):
+            return os._exit(3) if item == 2 else item
+
+        with pytest.raises(DecisionFlowError,
+                           match=r"^replay worker \d+ died: exit status 3$"):
+            pipeline._fork_map(fn, list(range(5)), fork_ctx(), None)
+        assert_no_child_left()
+
+    def test_a_failing_parent_does_not_wait_on_a_blocked_reply(self):
+        # the parent cannot load reply 0 while worker 1 is blocked writing
+        # a reply larger than a pipe holds: closing the reply pipes before
+        # reaping the workers ends that write with EPIPE instead of a hang
+        child = textwrap.dedent("""
+            import time
+            from types import SimpleNamespace
+            from decisionflow import pipeline
+
+            def refuse():
+                raise RuntimeError("cannot load this reply")
+
+            class Unloadable:
+                def __reduce__(self):
+                    return refuse, ()
+
+            def fn(item):
+                if item == 0:
+                    return Unloadable()
+                time.sleep(0.2)
+                return bytes(1 << 20)
+
+            ctx = SimpleNamespace(config=SimpleNamespace(max_concurrency=2),
+                                  gateway=SimpleNamespace(cache_hits=0))
+            try:
+                pipeline._fork_map(fn, [0, 1], ctx, None)
+            except RuntimeError as err:
+                print(err)
+        """)
+        env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src"),
+               "PYTHONDONTWRITEBYTECODE": "1"}
+        done = subprocess.run([sys.executable, "-c", child], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert (done.returncode, done.stdout) == (
+            0, "cannot load this reply\n"), done.stderr
 
 
 class TestKernelSweep:
