@@ -157,7 +157,10 @@ def _checked(key, value):
 
 
 def load_config_file(path) -> dict:
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    try:
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as err:  # not UTF-8, or not JSON
+        raise ValueError(f"config file {path} is not valid JSON: {err}") from err
     if not isinstance(payload, dict):
         raise ValueError(f"config file {path} must hold a JSON object")
     unknown = set(payload) - set(DEFAULT_CONFIG)

@@ -87,6 +87,17 @@ class Constraint:
         if self.kind == "exclusion" and (self.action is None or self.action < 0):
             raise ValueError("exclusion constraint needs a non-negative action index")
 
+    @property
+    def excludes(self) -> frozenset[int]:
+        """The actions this constraint rules out of a one-hot choice: a
+        cardinality limit >= 1 is vacuous for one, and binary_domain and
+        opaque constraints are never enforced."""
+        if self.kind == "exclusion":
+            return frozenset((self.action,))
+        if self.kind == "cardinality" and self.limit == 0:
+            return self.over
+        return frozenset()
+
     @classmethod
     def cardinality(cls, limit: int, over, source_text: str = "") -> "Constraint":
         over = frozenset(over)
@@ -358,19 +369,8 @@ def row_utilities(filtered: FilteredMatrix) -> tuple[float, ...]:
 
 
 def feasible_actions(constraints, n: int) -> frozenset[int]:
-    """Actions admissible under the constraints, as indices into range(n).
-
-    Only exclusions and zero-limit cardinality constraints shrink the set: a
-    cardinality limit >= 1 is vacuous for a one-hot choice, and binary_domain
-    and opaque constraints are never enforced.
-    """
-    excluded: set[int] = set()
-    for c in constraints:
-        if c.kind == "exclusion":
-            excluded.add(c.action)
-        elif c.kind == "cardinality" and c.limit == 0:
-            excluded.update(c.over)
-    return frozenset(i for i in range(n) if i not in excluded)
+    """The indices into range(n) of the actions no constraint `excludes`."""
+    return frozenset(range(n)).difference(*(c.excludes for c in constraints))
 
 
 def select_action(utilities, feasible) -> int:

@@ -152,17 +152,20 @@ def _parse_dellma(obj: dict, line: int) -> DellmaRecord:
 
 
 def _read_jsonl(path: str | Path):
-    with open(path, encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            if not raw.strip():
+    # bytes.splitlines ends lines where text mode does: \n, \r\n or \r
+    for line_no, raw in enumerate(Path(path).read_bytes().splitlines(), start=1):
+        try:
+            text = raw.decode("utf-8")
+            if not text.strip():
                 continue
-            try:
-                obj = json.loads(raw)
-            except json.JSONDecodeError as err:
-                raise DatasetError(f"invalid JSON: {err.msg}", line=line_no) from err
-            if not isinstance(obj, dict):
-                raise DatasetError("record is not a JSON object", line=line_no)
-            yield line_no, obj
+            obj = json.loads(text)
+        except UnicodeDecodeError as err:
+            raise DatasetError(f"not UTF-8: {err}", line=line_no) from err
+        except json.JSONDecodeError as err:
+            raise DatasetError(f"invalid JSON: {err.msg}", line=line_no) from err
+        if not isinstance(obj, dict):
+            raise DatasetError("record is not a JSON object", line=line_no)
+        yield line_no, obj
 
 
 def load_dataset(path: str | Path, kind: str):

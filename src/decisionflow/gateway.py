@@ -358,17 +358,12 @@ class LlmGateway:
         with self._lock:
             self.live_calls += 1
 
-        approximate = reply.prompt_tokens is None or reply.response_tokens is None
-        prompt_tokens = (
-            reply.prompt_tokens
-            if reply.prompt_tokens is not None
-            else count_tokens(request.prompt)
-        )
-        response_tokens = (
-            reply.response_tokens
-            if reply.response_tokens is not None
-            else count_tokens(reply.text)
-        )
+        prompt_tokens, response_tokens = reply.prompt_tokens, reply.response_tokens
+        approximate = prompt_tokens is None or response_tokens is None
+        if prompt_tokens is None:
+            prompt_tokens = count_tokens(request.prompt)
+        if response_tokens is None:
+            response_tokens = count_tokens(reply.text)
         if approximate:
             log.warning("backend reported no usage; token counts are approximate")
         entry = {

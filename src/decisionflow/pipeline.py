@@ -165,11 +165,12 @@ def _map(fn, items, ctx, then=lambda result: result):
     every item has finished otherwise, since encoding `run`'s trace on a
     worker thread would slow the runs beside it (see README, "CLI").
     Once an item raises, no further item starts; the items already running
-    finish, then the first error is raised."""
+    finish, then ``then`` takes the results before the earliest failed item
+    and its error is raised, where a serial map stops."""
     if ctx.pool is None or len(items) <= 1:
         return [then(fn(item)) for item in items]
     results = [None] * len(items)
-    errors = []
+    errors = {}  # item index -> its error
     indices = iter(range(len(items)))  # next() holds the GIL: no lock
 
     def work():
@@ -179,7 +180,7 @@ def _map(fn, items, ctx, then=lambda result: result):
             try:
                 results[index] = fn(items[index])
             except BaseException as err:
-                errors.append(err)
+                errors[index] = err
                 return
 
     width = min(ctx.config.max_concurrency, len(items))
@@ -187,9 +188,11 @@ def _map(fn, items, ctx, then=lambda result: result):
     work()
     for helper in helpers:
         helper.cancel() or helper.result()
+    stop = min(errors, default=len(items))  # every item before it ran
+    results = [then(result) for result in results[:stop]]
     if errors:
-        raise errors[0]
-    return [then(result) for result in results]
+        raise errors[stop]
+    return results
 
 
 def _read(fd, size) -> bytes:
@@ -575,12 +578,8 @@ def _rationale_call(problem, ctx, table, sol, trace, bias) -> str:
         for value, j in contributions[:3]
     ])
     excluded = frozenset(range(problem.n_actions)) - sol.feasible
-    active = _bullets([
-        c.source_text
-        for c in problem.constraints
-        if (c.kind == "exclusion" and c.action in excluded)
-        or (c.kind == "cardinality" and c.limit == 0 and set(c.over) & excluded)
-    ]) if excluded else "(none)"
+    active = _bullets([c.source_text for c in problem.constraints
+                       if c.excludes & excluded])
 
     completion = _call(ctx, trace, "S4", "rationale", _request(
         ctx, "rationale",
@@ -748,11 +747,12 @@ def run_experiment(problems, ctx: ExperimentContext, repeats: int = 1,
     replay on c forked processes (see `_fork_map`; serially without
     os.fork). Once `interrupt` (a threading.Event) is set or a fatal error
     occurs, no further run starts; those under way (in forked replay, the up
-    to c + 1 handed out) finish, then the finished records are returned or
-    the error is raised. `on_record`, if given, maps each finished record to
-    the one returned, on the calling thread in start order (as `_map`
-    applies ``then``) or, in forked replay, in the worker after its run,
-    where its side effects on the caller's memory are lost.
+    to c + 1 handed out) finish. Then the finished records are returned, or
+    the earliest failed run's error is raised once `on_record` has taken
+    every run before it, as at c = 1. `on_record`, if given, maps each
+    finished record to the one returned, on the calling thread in start
+    order (as `_map` applies ``then``) or, in forked replay, in the worker
+    after its run, where its side effects on the caller's memory are lost.
     """
     # (problem index, repeat), in start order
     tasks = [(index, repeat) for repeat in range(repeats)

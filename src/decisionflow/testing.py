@@ -292,10 +292,8 @@ class ScriptedTransport:
 
     def __init__(self, script=fixture_script):
         self.script = script
-        self.calls = 0
 
     def send(self, request: CompletionRequest) -> BackendReply:
-        self.calls += 1
         scripted = self.script(request)
         return BackendReply(
             text=scripted,

@@ -26,6 +26,7 @@ from conftest import CONFIG_DIR, CORPUS_DIR, DATASET_DIR, REPO_ROOT
 from decisionflow import cli, datasets, pipeline
 from decisionflow.core import FilterPolicy
 from decisionflow.datasets import load_dataset, load_predictions, write_records
+from decisionflow.errors import BackendError
 from decisionflow.gateway import (
     CompletionRequest,
     GatewayConfig,
@@ -201,6 +202,21 @@ class TestConfigValues:
             assert re.search(rf"\b{named}\b", err), err
         else:
             assert named in err, err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("data,detail", [
+        (b'{"mode": }', "Expecting value: line 1 column 10 (char 9)"),
+        (b'{"mode": "\xff"}', "'utf-8' codec can't decode byte 0xff"),
+    ], ids=["not_json", "not_utf8"])
+    def test_malformed_file_is_one_line_naming_it(self, tmp_path, capsys,
+                                                  data, detail):
+        path = tmp_path / "bad.json"
+        path.write_bytes(data)
+        assert cli.main(["run", "--config", str(path),
+                         "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config file {path} is not valid JSON: "
+                              f"{detail}") and err.count("\n") == 1, err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["run", "sweep"])
@@ -488,6 +504,26 @@ def dataset_with_a_miss(tmp_path, at: int) -> Path:
     return dataset_with_misses(tmp_path, at)
 
 
+class HeldFailuresTransport(ScriptedTransport):
+    """Every send whose prompt holds the bias text of mta-risk-aversion-high
+    or -low raises BackendError naming that problem; a send for -high first
+    waits 0.3 s, so that at c > 1 the later run fails first."""
+
+    def __init__(self):
+        super().__init__()
+        records = load_dataset(DATASET_DIR / "mta_small.jsonl", "mta")
+        self.failing = {r.bias_text: r.record_id for r in records
+                        if r.record_id.startswith("mta-risk-aversion-")}
+
+    def send(self, request):
+        for bias, problem_id in self.failing.items():
+            if bias in request.prompt:
+                if problem_id.endswith("-high"):
+                    time.sleep(0.3)
+                raise BackendError(f"scripted failure for {problem_id}")
+        return super().send(request)
+
+
 class TestTraceOutput:
     """`run` writes each trace file when its run finishes and keeps no trace
     after writing it; the manifest is written last."""
@@ -555,6 +591,30 @@ class TestTraceOutput:
         assert not (out / "predictions.jsonl").exists()
         assert trace_files(out) == trace_files(full)
         assert len(trace_files(out)) == 12
+
+    def test_record_failure_leaves_what_a_serial_run_leaves(
+            self, tmp_path, monkeypatch, capsys):
+        # runs 5 and 6 fail, run 6 first at c > 1; a serial run stops at run
+        # 5 with 4 traces, and so does every c
+        monkeypatch.chdir(REPO_ROOT)
+        monkeypatch.setattr(cli, "_make_transport",
+                            lambda resolved: HeldFailuresTransport())
+
+        def run(c):
+            out = tmp_path / f"out{c}"
+            assert cli.main([
+                "run", "--config", str(CONFIG_DIR / "replay_mta_decisionflow.json"),
+                "--gateway-mode", "record", "--transcripts",
+                str(tmp_path / f"store{c}"), "--out", str(out),
+                "--max-concurrency", str(c)]) == 1
+            return capsys.readouterr(), trace_files(out)
+
+        serial = run(1)
+        assert serial[0].err == \
+            "error: scripted failure for mta-risk-aversion-high\n"
+        assert len(serial[1]) == 4
+        for c in (2, 4):
+            assert run(c) == serial
 
     def test_failed_trace_write_starts_no_further_run(self, tmp_path,
                                                       monkeypatch, capsys):

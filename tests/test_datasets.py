@@ -153,6 +153,30 @@ class TestMtaValidation:
             load_dataset(path, "mta")
         assert err.value.line == 2
 
+    @pytest.mark.parametrize("load", [lambda path: load_dataset(path, "mta"),
+                                      load_predictions],
+                             ids=["dataset", "predictions"])
+    def test_bytes_that_are_not_utf8_name_the_line(self, tmp_path, load):
+        path = tmp_path / "latin1.jsonl"
+        path.write_bytes(b'\n{"id": "caf\xe9"}\n')
+        with pytest.raises(DatasetError, match=r"^not UTF-8: .*0xe9.*\(line 2\)$") \
+                as err:
+            load(path)
+        assert err.value.line == 2
+
+    @pytest.mark.parametrize("newline", [b"\r\n", b"\r"])
+    def test_lines_end_where_text_mode_ends_them(self, tmp_path, newline):
+        lines = [json.dumps(_valid_mta_line()).encode("utf-8"), b"",
+                 json.dumps(_valid_mta_line(id="mta-y")).encode("utf-8"), b"{oops"]
+        unix, other = tmp_path / "unix.jsonl", tmp_path / "other.jsonl"
+        unix.write_bytes(b"\n".join(lines[:3]) + b"\n")
+        other.write_bytes(newline.join(lines[:3]) + newline)
+        assert load_dataset(other, "mta") == load_dataset(unix, "mta")
+        other.write_bytes(newline.join(lines))
+        with pytest.raises(DatasetError) as err:
+            load_dataset(other, "mta")
+        assert err.value.line == 4
+
 
 class TestDellmaValidation:
     def test_action_count_ceiling(self, tmp_path):

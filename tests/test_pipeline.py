@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import os
+import random
 import subprocess
 import sys
 import textwrap
@@ -15,9 +16,13 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
+from pathlib import Path
+from tempfile import TemporaryDirectory
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from conftest import CORPUS_DIR, REPO_ROOT
 from decisionflow import gateway, pipeline
@@ -27,11 +32,13 @@ from decisionflow.core import (
     FilterPolicy,
     feasible_actions,
 )
+from decisionflow.datasets import write_json
 from decisionflow.errors import (
     BackendError,
     DecisionError,
     DecisionFlowError,
     ReplayMissError,
+    TransportError,
 )
 from decisionflow.gateway import GatewayConfig, LlmGateway, request_digest
 from decisionflow.pipeline import (
@@ -668,6 +675,115 @@ class TestRunner:
         assert sum(e["usage"]["response_tokens"] for e in stored) == \
             record.response_tokens
         assert len(stored) == record.llm_calls
+
+
+class ScheduledTransport(ScriptedTransport):
+    """Scripted backend with a seeded schedule and faults: each send sleeps
+    0-4 ms, the first 0-2 sends of a digest (chosen by the seed and the
+    digest) raise TransportError, every send whose prompt holds ``fault``
+    raises BackendError, and send number ``interrupt_at`` sets
+    ``interrupt``."""
+
+    def __init__(self, seed, fault=None, interrupt=None, interrupt_at=None):
+        super().__init__(fixture_script)
+        self.seed, self.fault = seed, fault
+        self.interrupt, self.interrupt_at = interrupt, interrupt_at
+        self.sends = 0
+        self.tries = {}  # digest -> sends made for it
+        self._lock = threading.Lock()
+
+    def send(self, request):
+        digest = request.digest
+        with self._lock:
+            self.sends += 1
+            tries = self.tries[digest] = self.tries.get(digest, 0) + 1
+            if self.sends == self.interrupt_at:
+                self.interrupt.set()
+        time.sleep(random.Random(f"{self.seed}/{digest}/{tries}").random()
+                   * 0.004)
+        if self.fault is not None and self.fault in request.prompt:
+            raise BackendError(f"scripted failure: {request.stage_tag} "
+                               f"attempt {request.attempt}")
+        if tries <= random.Random(f"{self.seed}/{digest}").randrange(3):
+            raise TransportError("scripted transient failure")
+        return super().send(request)
+
+
+def scheduled_run(problems, templates, root, seed, mode, c, fault=None,
+                  interrupt_at=None):
+    """Record 2 repeats of ``problems`` into a fresh store under ``root``,
+    writing each trace as `run` does. Returns the records (wall time zeroed)
+    or the error line, the trace files, and (sends, live calls, cache
+    hits)."""
+    interrupt = threading.Event()
+    transport = ScheduledTransport(seed, fault, interrupt, interrupt_at)
+    gateway_ = LlmGateway(GatewayConfig(mode="record",
+                                        transcript_dir=root / "store"),
+                          transport)
+    ctx = ExperimentContext(PipelineConfig(mode=mode, max_concurrency=c),
+                            gateway_, templates)
+    traces = root / "traces"
+    traces.mkdir(parents=True)
+
+    def write_trace(record):
+        write_json(list(record.trace),
+                   traces / f"{record.problem_id}__r{record.repeat}.json",
+                   sort_keys=False)
+        return replace(record, trace=(), wall_time=0.0)
+
+    try:
+        outcome = run_experiment(problems, ctx, 2, interrupt, write_trace)
+    except DecisionFlowError as err:
+        outcome = f"{type(err).__name__}: {err}"
+    files = {path.name: path.read_bytes() for path in traces.iterdir()}
+    return outcome, files, (transport.sends, gateway_.live_calls,
+                            gateway_.cache_hits)
+
+
+@pytest.fixture(scope="module")
+def scheduled_problems(mta_problems, edge_problems):
+    """Four problems with a bias text each, then the two edge problems,
+    which share one (a refusal and a degenerate one)."""
+    return mta_problems[3:7] + edge_problems
+
+
+class TestScheduleAndFaultGuard:
+    """At any c, record mode gives c = 1's records, trace bytes and send
+    counts; on a fault, c = 1's error and trace files; on an interrupt, trace
+    files that equal c = 1's."""
+
+    @settings(derandomize=True, max_examples=20, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(seed=st.integers(0, 2**32 - 1), c=st.integers(1, 4),
+           mode=st.sampled_from(["decisionflow", "self_consistency", "cot"]),
+           fault=st.none() | st.integers(0, 3),
+           interrupt_at=st.none() | st.integers(1, 40))
+    # a fault after the first run: at c > 1 the first runs' traces stay
+    @example(seed=0, c=2, mode="decisionflow", fault=1, interrupt_at=None)
+    def test_concurrency_changes_no_outcome(self, templates,
+                                            scheduled_problems, monkeypatch,
+                                            seed, c, mode, fault,
+                                            interrupt_at):
+        monkeypatch.setattr(gateway, "BACKOFF_S", 0)
+        problems = scheduled_problems
+        bias = None if fault is None else problems[fault].bias_directive
+        with TemporaryDirectory() as tmp:
+            ref, ref_files, ref_sends = scheduled_run(
+                problems, templates, Path(tmp, "ref"), seed, mode, 1, bias)
+            got, files, sends = scheduled_run(
+                problems, templates, Path(tmp, "got"), seed, mode, c, bias,
+                interrupt_at)
+        if interrupt_at is None:
+            assert got == ref
+            assert files == ref_files
+            if fault is None:
+                assert sends == ref_sends
+        else:
+            assert files.items() <= ref_files.items()
+            if isinstance(got, str):
+                assert got == ref
+            elif not isinstance(ref, str):  # else got stopped before the fault
+                assert all(record in ref for record in got)
 
 
 def fork_ctx():
