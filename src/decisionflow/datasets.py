@@ -1,8 +1,19 @@
-"""Dataset and prediction file formats (JSONL, one record per line).
+"""Dataset and prediction file formats (JSONL, one record per line), and the
+one writer of every file the package writes.
 
 Serialization is canonical: fixed field order, UTF-8, LF line endings, and
 default JSON number formatting, so load followed by serialize is
-byte-identical. Validation errors name the line and field.
+byte-identical. Validation errors name the file, the line and the field.
+
+Every JSON file (traces, transcripts, manifests, reports) is the text of
+``json.dumps(value, indent=2, sort_keys=..., ensure_ascii=False)``, written
+by ``dumps_indented``: a container that holds no container goes whole to the
+standard library's C encoder, with the string escaping of
+``ensure_ascii=False``, and the rest is walked here. The text is left to
+``json.dumps`` when a value or key is not of an exact JSON type, or the
+value nests deeper than ``MAX_FAST_DEPTH``. Python 3.13's own
+``json.dumps(indent=2)`` is about as fast, so the function can go when the
+project moves to 3.13.
 """
 
 from __future__ import annotations
@@ -12,6 +23,8 @@ import os
 import threading
 from contextlib import suppress
 from dataclasses import dataclass, fields
+from itertools import repeat
+from json.encoder import c_make_encoder, encode_basestring
 from pathlib import Path
 
 from .core import Constraint, DecisionProblem, parse_constraint
@@ -151,32 +164,41 @@ def _parse_dellma(obj: dict, line: int) -> DellmaRecord:
     )
 
 
-def _read_jsonl(path: str | Path):
-    # bytes.splitlines ends lines where text mode does: \n, \r\n or \r
-    for line_no, raw in enumerate(Path(path).read_bytes().splitlines(), start=1):
-        try:
-            text = raw.decode("utf-8")
-            if not text.strip():
-                continue
-            obj = json.loads(text)
-        except UnicodeDecodeError as err:
-            raise DatasetError(f"not UTF-8: {err}", line=line_no) from err
-        except json.JSONDecodeError as err:
-            raise DatasetError(f"invalid JSON: {err.msg}", line=line_no) from err
-        if not isinstance(obj, dict):
-            raise DatasetError("record is not a JSON object", line=line_no)
-        yield line_no, obj
+def _load(path: str | Path, parse) -> list:
+    """``parse(obj, line)`` of each record of the JSONL file at ``path``; a
+    DatasetError raised on the way names ``path``."""
+    rows = []
+    try:
+        # bytes.splitlines ends lines where text mode does: \n, \r\n or \r
+        for line_no, raw in enumerate(Path(path).read_bytes().splitlines(),
+                                      start=1):
+            try:
+                text = raw.decode("utf-8")
+                if not text.strip():
+                    continue
+                obj = json.loads(text)
+            except UnicodeDecodeError as err:
+                raise DatasetError(f"not UTF-8: {err}", line=line_no) from err
+            except json.JSONDecodeError as err:
+                raise DatasetError(f"invalid JSON: {err.msg}", line=line_no) from err
+            if not isinstance(obj, dict):
+                raise DatasetError("record is not a JSON object", line=line_no)
+            rows.append(parse(obj, line_no))
+    except DatasetError as err:
+        err.path = os.fspath(path)
+        raise
+    return rows
 
 
 def load_dataset(path: str | Path, kind: str):
     """Load and validate a dataset of one of DATASET_KINDS."""
     if kind not in DATASET_KINDS:
         raise ValueError(f"unknown dataset kind {kind!r}")
-    parse = _parse_mta if kind == "mta" else _parse_dellma
-    records = []
+    parse_kind = _parse_mta if kind == "mta" else _parse_dellma
     seen: dict[str, int] = {}
-    for line_no, obj in _read_jsonl(path):
-        record = parse(obj, line_no)
+
+    def parse(obj: dict, line_no: int):
+        record = parse_kind(obj, line_no)
         # the id names the run's trace files
         if record.record_id in ("", ".", "..") or any(
                 c in record.record_id for c in "/\\\0"):
@@ -189,8 +211,9 @@ def load_dataset(path: str | Path, kind: str):
                 line=line_no, field="id",
             )
         seen[record.record_id] = line_no
-        records.append(record)
-    return records
+        return record
+
+    return _load(path, parse)
 
 
 def dumps_record(record) -> str:
@@ -223,39 +246,123 @@ def write_text(text: str, path: str | Path) -> None:
         raise
 
 
+# the exact types dumps_indented encodes itself; any other type, a subclass
+# included, leaves the value to json.dumps
+_SCALARS = frozenset({str, int, float, bool, type(None)})
+_CONTAINERS = frozenset({dict, list, tuple})
+_STR = frozenset({str})
+MAX_FAST_DEPTH = 8
+_NEWLINE = tuple("\n" + "  " * depth for depth in range(MAX_FAST_DEPTH + 1))
+# sort_keys -> depth -> a C encoder for a container that opens at depth - 1:
+# without an indent it writes each item separator whole, and that one ends
+# in the indent of depth; encode_basestring is the escaping of
+# ensure_ascii=False
+_FLAT = {sort_keys: tuple(
+    c_make_encoder(None, None, encode_basestring, None, ": ",
+                   "," + newline, sort_keys, False, True)
+    for newline in _NEWLINE) for sort_keys in (False, True)}
+_SCALAR = _FLAT[False][0]
+
+
+class _Fallback(Exception):
+    """The value is left to json.dumps."""
+
+
+def _indent(value, depth, flat, sort_keys, out) -> None:
+    """Append the text of the dict, list or tuple ``value`` that opens at
+    ``depth`` to ``out``, piece by piece; ``flat`` is ``_FLAT[sort_keys]``."""
+    if not value:
+        out("{}" if type(value) is dict else "[]")
+        return
+    depth += 1
+    if depth > MAX_FAST_DEPTH:
+        raise _Fallback
+    newline = _NEWLINE[depth]
+    if type(value) is dict:
+        if not _STR.issuperset(map(type, value)):
+            raise _Fallback
+        items = value.values()
+    else:
+        items = value
+    if _SCALARS.issuperset(map(type, items)):
+        # the C encoder writes all of it, in several pieces once it is long
+        text = "".join(flat[depth](value, 0))
+        out(text[0] + newline)
+        out(text[1:-1])
+        out(_NEWLINE[depth - 1] + text[-1])
+        return
+    if type(value) is dict:
+        keys = sorted(value) if sort_keys else value
+        heads = [encode_basestring(key) + ": " for key in keys]
+        items = map(value.__getitem__, keys)
+        brackets = "{}"
+    else:
+        heads = repeat("")
+        brackets = "[]"
+    separator = brackets[0] + newline
+    for head, item in zip(heads, items):
+        out(separator + head)
+        separator = "," + newline
+        kind = type(item)
+        if kind is str:
+            out(encode_basestring(item))
+        elif kind in _CONTAINERS:
+            _indent(item, depth, flat, sort_keys, out)
+        elif kind in _SCALARS:
+            out("".join(_SCALAR(item, 0)))
+        else:
+            raise _Fallback
+    out(_NEWLINE[depth - 1] + brackets[1])
+
+
+def dumps_indented(value, *, sort_keys: bool = True) -> str:
+    """Exactly ``json.dumps(value, indent=2, sort_keys=sort_keys,
+    ensure_ascii=False)``, its errors included: see the module docstring."""
+    chunks: list[str] = []
+    try:
+        if type(value) in _CONTAINERS:
+            _indent(value, 0, _FLAT[sort_keys], sort_keys, chunks.append)
+        elif type(value) in _SCALARS:
+            chunks.extend(_SCALAR(value, 0))
+        else:
+            raise _Fallback
+    except _Fallback:
+        return json.dumps(value, indent=2, sort_keys=sort_keys,
+                          ensure_ascii=False)
+    return "".join(chunks)
+
+
 def write_json(value, path: str | Path, *, sort_keys: bool = True) -> None:
     """Every JSON file the package writes: two-space indent, UTF-8, one
     trailing newline."""
-    write_text(json.dumps(value, indent=2, sort_keys=sort_keys,
-                          ensure_ascii=False) + "\n", path)
+    write_text(dumps_indented(value, sort_keys=sort_keys) + "\n", path)
 
 
 def write_records(records, path: str | Path) -> None:
     write_text("".join(dumps_record(record) + "\n" for record in records), path)
 
 
-def load_predictions(path: str | Path) -> list[PredictionRow]:
-    rows = []
-    for line_no, obj in _read_jsonl(path):
-        record_id = _field(obj, "id", str, line_no)
-        mode = _field(obj, "mode", str, line_no)
-        repeat = _field(obj, "repeat", int, line_no)
-        if repeat < 0:
-            raise DatasetError("repeat must be >= 0", line=line_no, field="repeat")
-        answer = obj.get("answer")
-        if answer == ABSTAIN:
-            answer = None
-        elif isinstance(answer, bool) or not isinstance(answer, int):
-            raise DatasetError(
-                "answer must be an integer index or the abstain marker",
-                line=line_no, field="answer",
-            )
-        elif answer < 0:
-            raise DatasetError("answer must be >= 0", line=line_no, field="answer")
-        rows.append(
-            PredictionRow(record_id=record_id, mode=mode, repeat=repeat, answer=answer)
+def _parse_prediction(obj: dict, line: int) -> PredictionRow:
+    record_id = _field(obj, "id", str, line)
+    mode = _field(obj, "mode", str, line)
+    repeat = _field(obj, "repeat", int, line)
+    if repeat < 0:
+        raise DatasetError("repeat must be >= 0", line=line, field="repeat")
+    answer = obj.get("answer")
+    if answer == ABSTAIN:
+        answer = None
+    elif isinstance(answer, bool) or not isinstance(answer, int):
+        raise DatasetError(
+            "answer must be an integer index or the abstain marker",
+            line=line, field="answer",
         )
-    return rows
+    elif answer < 0:
+        raise DatasetError("answer must be >= 0", line=line, field="answer")
+    return PredictionRow(record_id=record_id, mode=mode, repeat=repeat, answer=answer)
+
+
+def load_predictions(path: str | Path) -> list[PredictionRow]:
+    return _load(path, _parse_prediction)
 
 
 def write_predictions(rows, path: str | Path) -> None:

@@ -95,16 +95,27 @@ class TranscriptCorruptError(GatewayError):
 
 
 class DatasetError(DecisionFlowError):
-    """A dataset file failed validation; names the line and field."""
+    """A dataset file failed validation; names the file, line and field.
 
-    def __init__(self, message: str, *, line: int | None = None, field: str | None = None):
-        where = []
-        if line is not None:
-            where.append(f"line {line}")
-        if field is not None:
-            where.append(f"field '{field}'")
-        if where:
-            message = f"{message} ({', '.join(where)})"
+    The loaders set ``path`` once the error leaves them, so the message is
+    made when it is shown."""
+
+    def __init__(self, message: str, *, line: int | None = None,
+                 field: str | None = None):
         super().__init__(message)
         self.line = line
         self.field = field
+        self.path = None
+
+    def __str__(self):
+        message = self.args[0]
+        if self.path is not None:
+            message = f"{message} in {self.path}"
+        where = []
+        if self.line is not None:
+            where.append(f"line {self.line}")
+        if self.field is not None:
+            where.append(f"field '{self.field}'")
+        if where:
+            message = f"{message} ({', '.join(where)})"
+        return message

@@ -18,6 +18,7 @@ import time
 from concurrent.futures import Future
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from operator import attrgetter, itemgetter
 from pathlib import Path
 
@@ -97,15 +98,19 @@ class CompletionRequest:
         object.__setattr__(self, "digest", request_digest(self))
 
 
+# the C encoder that json.dumps(..., ensure_ascii=True, separators=(",", ":"))
+# would build on every call, built once
+_CANONICAL = c_make_encoder(None, json.JSONEncoder().default,
+                            encode_basestring_ascii, None, ":", ",", False,
+                            False, True)
+
+
 def request_digest(request: CompletionRequest) -> str:
     """Deterministic cache key; identical fields give identical digests in any
     process."""
     model, temperature, max_tokens, prompt, attempt = _request_fields(request)
-    canonical = json.dumps(
-        [model, float(temperature), int(max_tokens), prompt, int(attempt)],
-        ensure_ascii=True,
-        separators=(",", ":"),
-    )
+    canonical = "".join(_CANONICAL(
+        [model, float(temperature), int(max_tokens), prompt, int(attempt)], 0))
     return hashlib.sha256(canonical.encode("ascii")).hexdigest()
 
 
@@ -142,27 +147,35 @@ class TranscriptStore:
         self.root = Path(root)
 
     def path_for(self, digest: str) -> Path:
-        return self.root / digest[:2] / f"{digest}.json"
+        return Path(self._file(digest))
+
+    def _file(self, digest: str) -> str:
+        return f"{self.root}/{digest[:2]}/{digest}.json"
 
     def has(self, digest: str) -> bool:
         return self.path_for(digest).is_file()
 
     def read(self, digest: str) -> dict | None:
         """The stored entry, or None when there is none; TranscriptCorruptError
-        when the file holds anything but a JSON object."""
-        path = self.path_for(digest)
+        when the file holds anything but a JSON object in UTF-8.
+
+        The path is a plain string and the bytes are decoded before they are
+        parsed: ``json.loads`` of bytes would take UTF-16 and UTF-32 too."""
         try:
-            with open(path, encoding="utf-8") as fh:
-                entry = json.load(fh)
+            with open(self._file(digest), "rb", buffering=0) as fh:
+                data = fh.read()
         except FileNotFoundError:
             return None
+        try:
+            entry = json.loads(data.decode("utf-8"))
         except (json.JSONDecodeError, UnicodeDecodeError) as err:
             raise TranscriptCorruptError(
-                f"transcript {path} is not valid JSON: {err}"
+                f"transcript {self.path_for(digest)} is not valid JSON: {err}"
             ) from err
         if not isinstance(entry, dict):
             raise TranscriptCorruptError(
-                f"transcript {path} holds {type(entry).__name__}, not a JSON object")
+                f"transcript {self.path_for(digest)} holds "
+                f"{type(entry).__name__}, not a JSON object")
         return entry
 
     def write(self, digest: str, entry: dict) -> None:

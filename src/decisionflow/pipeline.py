@@ -10,7 +10,6 @@ the trace as JSON-compatible events, so a run can be diffed byte for byte.
 
 from __future__ import annotations
 
-import json
 import logging
 import os
 import signal
@@ -30,6 +29,7 @@ from .core import (
     solve_symbolic,
     sparsify_weights,
 )
+from .datasets import dumps_indented
 from .errors import (
     DecisionError,
     DecisionFlowError,
@@ -490,10 +490,10 @@ def run_structured(problem: DecisionProblem, ctx: ExperimentContext,
                 "bias": bias,
                 "actions": _bullets(problem.actions),
                 "objective": objective["term"],
-                "variables": json.dumps(objective["variables"], indent=2,
-                                        ensure_ascii=False),
+                "variables": dumps_indented(objective["variables"],
+                                            sort_keys=False),
                 "constraints": constraints_text,
-                "cells": json.dumps(cells_payload, indent=2, ensure_ascii=False),
+                "cells": dumps_indented(cells_payload, sort_keys=False),
             }),
         ))
         grounded = parse_grounding(completion.text, table, surviving)

@@ -946,6 +946,36 @@ class TestEvalCommand:
         ]) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_eval_bad_predictions_file_is_named(self, tmp_path, capsys):
+        predictions = tmp_path / "preds.jsonl"
+        predictions.write_text('{"id": "a", "mode": "cot", "repeat": 0, '
+                               '"answer": "maybe"}\n', encoding="utf-8")
+        dataset = DATASET_DIR / "mta_small.jsonl"
+        assert cli.main([
+            "eval", "--predictions", str(predictions),
+            "--dataset", str(dataset), "--dataset-kind", "mta",
+            "--out", str(tmp_path / "out"),
+        ]) == 1
+        err = capsys.readouterr().err
+        assert err == (f"error: answer must be an integer index or the abstain "
+                       f"marker in {predictions} (line 1, field 'answer')\n")
+
+    def test_eval_bad_dataset_file_is_named(self, tmp_path, capsys):
+        config = make_config(tmp_path)
+        assert cli.main(["run", "--config", str(config)]) == 0
+        capsys.readouterr()
+        dataset = tmp_path / "latin1.jsonl"
+        dataset.write_bytes((DATASET_DIR / "mta_small.jsonl").read_bytes()
+                            + b'{"id": "caf\xe9"}\n')
+        assert cli.main([
+            "eval", "--predictions", str(tmp_path / "out" / "predictions.jsonl"),
+            "--dataset", str(dataset), "--dataset-kind", "mta",
+            "--out", str(tmp_path / "out"),
+        ]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: not UTF-8: ")
+        assert err.endswith(f" in {dataset} (line 13)\n")
+
 
 class ThreadCountingTransport(ScriptedTransport):
     """Scripted backend that notes, under a lock, each send's digest and the

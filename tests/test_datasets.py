@@ -2,17 +2,25 @@
 
 import importlib.util
 import json
+from collections import OrderedDict
+from enum import IntEnum
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from conftest import CONFIG_DIR, REPO_ROOT
+from decisionflow import cli, datasets, pipeline
 from decisionflow.core import feasible_actions
 from decisionflow.datasets import (
     DMA_VALUES,
+    MAX_FAST_DEPTH,
     DellmaRecord,
     MtaRecord,
     PredictionRow,
     dellma_problem,
+    dumps_indented,
     load_dataset,
     load_predictions,
     mta_problem,
@@ -273,6 +281,166 @@ class TestWriteText:
         assert ".tmp" not in str(err.value)
         assert sorted(p.name for p in tmp_path.iterdir()) == \
             (["x.json"] if case == "dir_in_the_way" else [])
+
+
+def stdlib(value, sort_keys=True, dumps=json.dumps):
+    return dumps(value, indent=2, sort_keys=sort_keys, ensure_ascii=False)
+
+
+# quotes, backslashes, control characters, DEL, non-ASCII and astral
+# characters, a literal backslash-u, and any other character
+TEXT = st.lists(st.sampled_from(['a', ' ', '"', '\\', '/', '\n', '\t', '\b',
+                                 '\f', '\r', '\x00', '\x1f', '\x7f', '\xe9',
+                                 '\u2028', '\U0001d11e', '\\u0041'])
+                | st.characters(), max_size=6).map("".join)
+SCALARS = (st.none() | st.booleans() | st.integers()
+           | st.integers(-2**200, 2**200)
+           | st.floats() | st.sampled_from([-0.0, 1e16, 1e-7, float("nan"),
+                                            float("inf"), float("-inf")]))
+
+
+def json_values(text):
+    return st.recursive(
+        SCALARS | text,
+        lambda children: (st.lists(children, max_size=4)
+                          | st.lists(children, max_size=3).map(tuple)
+                          | st.dictionaries(text, children, max_size=4)),
+        max_leaves=24)
+
+
+def depth(value):
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, (list, tuple)):
+        return 1 + max(map(depth, value), default=0)
+    return 0
+
+
+@pytest.fixture
+def stdlib_calls(monkeypatch):
+    """The values that dumps_indented left to json.dumps."""
+    calls = []
+    dumps = json.dumps
+
+    def counting(value, **kwargs):
+        calls.append(value)
+        return dumps(value, **kwargs)
+
+    monkeypatch.setattr(datasets.json, "dumps", counting)
+    return calls
+
+
+class TestDumpsIndented:
+    """dumps_indented is json.dumps(indent=2, ensure_ascii=False), byte for
+    byte."""
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(value=json_values(TEXT), sort_keys=st.booleans())
+    def test_equals_json_dumps(self, value, sort_keys):
+        assert dumps_indented(value, sort_keys=sort_keys) == \
+            stdlib(value, sort_keys)
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(value=json_values(TEXT), sort_keys=st.booleans())
+    def test_exact_json_types_take_the_fast_path(self, value, sort_keys):
+        assume(depth(value) <= MAX_FAST_DEPTH)
+        dumps = json.dumps
+        datasets.json.dumps = None  # a call would fail
+        try:
+            text = dumps_indented(value, sort_keys=sort_keys)
+        finally:
+            datasets.json.dumps = dumps
+        assert text == stdlib(value, sort_keys)
+
+    @pytest.mark.parametrize("value", [
+        "\xe9", ["\x7f"], {"a": "\x01"}, {"\xe9": 1}, ["\\u0041"],
+        {"a": ["\u2014", 1]}, ("a", [True, None]),
+    ], ids=["non_ascii", "del", "control", "non_ascii_key", "literal_u",
+            "nested_non_ascii", "tuple"])
+    def test_any_text_takes_the_fast_path(self, value, stdlib_calls):
+        assert dumps_indented(value) == stdlib(value)
+        assert stdlib_calls == []
+
+    @pytest.mark.parametrize("value", [
+        {1: "a"}, {"a": {2: [1]}}, OrderedDict(a=1), [IntEnum("E", "A").A],
+    ], ids=["int_key", "nested_int_key", "dict_subclass", "int_subclass"])
+    def test_what_json_dumps_writes(self, value, stdlib_calls):
+        assert dumps_indented(value) == stdlib(value)
+        assert stdlib_calls == [value]
+
+    @pytest.mark.parametrize("sort_keys", [False, True])
+    def test_a_long_flat_container_is_written_whole(self, sort_keys,
+                                                    stdlib_calls):
+        """The C encoder may hand back its text in more than one piece."""
+        items = [i % 7 or "x\u2014" for i in range(150_000)]
+        for value in (items, {f"k{i}": item for i, item in enumerate(items)},
+                      {"a": [items]}):
+            assert dumps_indented(value, sort_keys=sort_keys) == \
+                stdlib(value, sort_keys)
+        assert stdlib_calls == []
+
+    def test_depth_beyond_the_encoders_goes_to_json_dumps(self, stdlib_calls):
+        shallow = [1]
+        for _ in range(MAX_FAST_DEPTH - 1):
+            shallow = [shallow, "x"]
+        assert dumps_indented(shallow) == stdlib(shallow)
+        assert stdlib_calls == []
+        deep = [shallow]
+        assert dumps_indented(deep) == stdlib(deep)
+        assert stdlib_calls == [deep]
+
+    @pytest.mark.parametrize("value, error", [
+        ([object()], TypeError), ({"a": {"b": {1.5j}}}, TypeError),
+        ({(1, 2): 3}, TypeError), ({1: 1, "a": 2}, TypeError),
+    ])
+    def test_raises_what_json_dumps_raises(self, value, error):
+        with pytest.raises(error) as expected:
+            stdlib(value)
+        with pytest.raises(error) as got:
+            dumps_indented(value)
+        assert str(got.value) == str(expected.value)
+
+    def test_a_cycle_is_json_dumps_error(self):
+        cycle = []
+        cycle.append(cycle)
+        with pytest.raises(ValueError, match="Circular reference detected"):
+            dumps_indented({"a": cycle})
+
+    def test_a_lone_surrogate_fails_the_write_as_before(self, tmp_path):
+        path = tmp_path / "x.json"
+        with pytest.raises(UnicodeEncodeError) as expected:
+            (stdlib(["\ud800"]) + "\n").encode("utf-8")
+        with pytest.raises(UnicodeEncodeError) as got:
+            write_json(["\ud800"], path)
+        assert str(got.value) == str(expected.value)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_every_bundled_replay_writes_json_dumps_text(self, tmp_path,
+                                                         monkeypatch):
+        """Each JSON text the nine bundled replays make: traces, manifests,
+        reports and the S3 prompt dumps."""
+        monkeypatch.chdir(REPO_ROOT)
+        checked = {datasets: 0, pipeline: 0}
+
+        def checking(module):
+            def dumps(value, *, sort_keys=True):
+                text = dumps_indented(value, sort_keys=sort_keys)
+                assert text == stdlib(value, sort_keys)
+                checked[module] += 1
+                return text
+            monkeypatch.setattr(module, "dumps_indented", dumps)
+
+        checking(datasets)
+        checking(pipeline)
+        configs = sorted(CONFIG_DIR.glob("replay_*.json"))
+        assert len(configs) == 9
+        for config in configs:
+            assert cli.main(["run", "--config", str(config), "--out",
+                             str(tmp_path / config.stem)]) in (0, 2)
+        traces = list(tmp_path.glob("*/traces/*.json"))
+        assert len(traces) > 50
+        assert checked[datasets] > len(traces)
+        assert checked[pipeline] > 0  # the S3 prompt dumps
 
 
 class TestProblemConversion:

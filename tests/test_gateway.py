@@ -1,6 +1,7 @@
 """Gateway tests: digests, the transcript store, record mode against a local
 HTTP fixture server, replay mode, and the retry budget."""
 
+import hashlib
 import json
 import socket
 import threading
@@ -56,6 +57,15 @@ class TestDigest:
         digests = {request_digest(v) for v in variants}
         assert len(digests) == len(variants)
         assert FROZEN_DIGEST not in digests
+
+    @pytest.mark.parametrize("prompt", ['caf\xe9 "\\u00e9"\x7f\n\U0001d11e',
+                                        "\ud800"])
+    def test_digest_hashes_the_canonical_json_of_any_text(self, prompt):
+        request = replace(REQ, prompt=prompt, temperature=0.5)
+        canonical = json.dumps(["stub-reason", 0.5, 4096, prompt, 0],
+                               ensure_ascii=True, separators=(",", ":"))
+        assert request.digest == \
+            hashlib.sha256(canonical.encode("ascii")).hexdigest()
 
     def test_stage_tag_does_not_enter_the_digest(self):
         tagged = CompletionRequest("stub-reason", "hello", 0.0, 4096, "cot", 0)
@@ -349,6 +359,26 @@ def test_malformed_entry_is_rejected_where_it_is_read(tmp_path, capsys, tamper):
         assert gw.cache_hits == 0
         assert path.read_bytes() == stored
 
+    assert cli.main(["replay-verify", "--transcripts", str(tmp_path)]) == 1
+    assert str(path) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("encoding", ["utf-16", "utf-8-sig", "latin-1"])
+def test_a_transcript_not_in_utf8_is_corrupt(tmp_path, capsys, encoding):
+    """A read decodes UTF-8 before it parses: json.loads of the bytes would
+    take UTF-16 as well."""
+    store = TranscriptStore(tmp_path)
+    path = store.path_for(REQ.digest)
+    path.parent.mkdir(parents=True)
+    text = json.dumps(_entry_for(REQ, "café"), ensure_ascii=False)
+    path.write_bytes(text.encode(encoding))
+    if encoding == "utf-16":
+        assert json.loads(path.read_bytes()) == json.loads(text)
+
+    gw = LlmGateway(GatewayConfig(mode="replay", transcript_dir=tmp_path))
+    with pytest.raises(TranscriptCorruptError, match="is not valid JSON") as err:
+        gw.complete(REQ)
+    assert str(path) in str(err.value)
     assert cli.main(["replay-verify", "--transcripts", str(tmp_path)]) == 1
     assert str(path) in capsys.readouterr().err
 
