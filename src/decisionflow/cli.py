@@ -377,9 +377,14 @@ def _add_config_flags(parser, *, writes=True):
     parser.add_argument("--dataset", help="dataset JSONL path")
     parser.add_argument("--dataset-kind", choices=DATASET_KINDS)
     parser.add_argument("--transcripts", help="transcript store directory")
-    if writes:  # replay-verify always replays and writes nothing
+    if writes:  # replay-verify replays serially and writes nothing
         parser.add_argument("--gateway-mode", choices=GATEWAY_MODES)
         parser.add_argument("--out", help="output directory")
+        parser.add_argument(
+            "--max-concurrency", type=int,
+            help="c: runs at once; record mode also runs c weigh calls per run "
+                 "at once, on c*c threads in all (the gateway caps sends at "
+                 "MAX_IN_FLIGHT=4), and replay forks c worker processes")
     parser.add_argument("--repeats", type=int)
     parser.add_argument("--info-model")
     parser.add_argument("--reasoning-model")
@@ -387,11 +392,6 @@ def _add_config_flags(parser, *, writes=True):
                         help='filter spec: "epsilon=0.3", "top2", "none"')
     parser.add_argument("--filter-target", choices=FILTER_TARGETS)
     parser.add_argument("--self-consistency-k", type=int)
-    parser.add_argument(
-        "--max-concurrency", type=int,
-        help="c: runs at once; record mode also runs c weigh calls per run "
-             "at once, on c*c threads in all (the gateway caps sends at "
-             "MAX_IN_FLIGHT=4), and replay forks c worker processes")
     parser.add_argument("--max-tokens", type=int)
 
 

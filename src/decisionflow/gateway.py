@@ -206,19 +206,19 @@ class TranscriptStore:
 
 
 class HttpTransport:
-    """Chat-completions-style HTTP backend speaking JSON over POST."""
+    """Chat-completions-style HTTP backend speaking JSON over POST. Each send
+    has its own connection: no pool, as a TLS handshake is small next to a call."""
 
     def __init__(self, base_url: str | None = None, api_key: str | None = None):
         self.base_url = (base_url or os.environ.get(BASE_URL_ENV, "")).rstrip("/")
         self.api_key = api_key or os.environ.get(API_KEY_ENV, "")
         if not self.base_url:
             raise ValueError(f"no backend URL: set {BASE_URL_ENV} or pass base_url")
-        import requests
-
-        self._session = requests.Session()
 
     def send(self, request: CompletionRequest) -> BackendReply:
-        import requests
+        from http.client import HTTPException  # here: replay loads none of them
+        from urllib.error import HTTPError
+        from urllib.request import Request, urlopen
 
         payload = {
             "model": request.model,
@@ -229,33 +229,33 @@ class HttpTransport:
         headers = {"Content-Type": "application/json"}
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"
+        post = Request(self.base_url + HTTP_PATH, json.dumps(payload).encode(), headers)
         started = time.perf_counter()
         try:
-            resp = self._session.post(
-                self.base_url + HTTP_PATH,
-                json=payload,
-                headers=headers,
-                timeout=HTTP_TIMEOUT_S,
-            )
-        except requests.RequestException as err:
+            try:
+                resp = urlopen(post, timeout=HTTP_TIMEOUT_S)
+            except HTTPError as err:  # any status but 2xx: read it as a reply
+                resp = err
+            with resp:
+                status, data = resp.status, resp.read()
+        except (OSError, HTTPException) as err:
             raise TransportError(f"request failed: {err}") from err
         latency = time.perf_counter() - started
 
-        if resp.status_code == 429 or resp.status_code >= 500:
-            raise TransportError(f"backend returned HTTP {resp.status_code}")
-        if resp.status_code >= 400:
-            raise BackendError(
-                f"backend rejected the request with HTTP {resp.status_code}",
-                payload=resp.text,
-            )
-        try:
-            body = resp.json()
+        body_text = data.decode("utf-8", "replace")
+        if status == 429 or status >= 500:
+            raise TransportError(f"backend returned HTTP {status}")
+        if status >= 300:
+            raise BackendError(f"backend rejected the request with HTTP {status}",
+                               payload=body_text)
+        try:  # strictly: a replaced character would be stored for good
+            body = json.loads(data.decode("utf-8"))
         except ValueError as err:
-            raise BackendError("backend returned non-JSON body", payload=resp.text) from err
-
-        text = _extract_text(body)
+            raise BackendError("backend returned a non-UTF-8 or non-JSON body",
+                               payload=body_text) from err
+        text = _extract_text(body) if isinstance(body, dict) else None
         if text is None:
-            raise BackendError("no completion text in backend reply", payload=body)
+            raise BackendError("no completion text in backend reply", payload=body_text)
         usage = body.get("usage") or {}
         return BackendReply(
             text=text,

@@ -898,6 +898,26 @@ class TestForkedReplay:
         assert not (out / "manifest.json").exists()
         assert session_members(proc.pid) == []
 
+    def test_sweep_does_not_depend_on_concurrency(self, tmp_path,
+                                                  monkeypatch, capsys):
+        monkeypatch.chdir(REPO_ROOT)
+        config = str(CONFIG_DIR / "replay_mta_decisionflow.json")
+        outputs = {}
+        for c in (1, 2, 4):
+            out = tmp_path / f"c{c}"
+            assert cli.main(["sweep", "--config", config,
+                             "--grid", "epsilon=0.0,0.3,0.7", "--out", str(out),
+                             "--max-concurrency", str(c)]) == 0
+            sweep = json.loads((out / "sweep.json").read_text())
+            del sweep["config_digest"]  # it covers max_concurrency and out
+            stdout = capsys.readouterr().out.replace(str(out), "<out>")
+            outputs[c] = ((out / "sweep.md").read_bytes(), sweep, stdout)
+        assert [row["surviving_cells"] for row in outputs[1][1]["settings"]] \
+            == [46, 30, 14]
+        assert outputs[2] == outputs[1]
+        assert outputs[4] == outputs[1]
+        assert children(os.getpid()) == []
+
     def test_replay_loads_no_process_pool(self, tmp_path):
         child = (
             "import sys\n"
@@ -1230,7 +1250,8 @@ class TestReplayVerifyCommand:
         assert "missing transcript" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag", [["--gateway-mode", "record"],
-                                      ["--out", "x"]])
+                                      ["--out", "x"],
+                                      ["--max-concurrency", "4"]])
     def test_rejects_flags_it_would_ignore(self, monkeypatch, capsys, flag):
         monkeypatch.chdir(REPO_ROOT)
         config = str(CONFIG_DIR / "replay_mta_cot.json")
@@ -1339,7 +1360,7 @@ class TestParserBehavior:
         ]
         shared = ["--config", "--dataset", "--dataset-kind", "--filter",
                   "--filter-target", "--help", "--info-model",
-                  "--max-concurrency", "--max-tokens", "--mode",
+                  "--max-tokens", "--mode",
                   "--reasoning-model", "--repeats", "--self-consistency-k",
                   "--transcripts", "-h"]
         subparsers = next(
@@ -1351,8 +1372,10 @@ class TestParserBehavior:
             for name in ("run", "sweep", "replay-verify", "eval")
         }
         assert options == {
-            "run": sorted(shared + ["--gateway-mode", "--out"]),
-            "sweep": sorted(shared + ["--gateway-mode", "--grid", "--out"]),
+            "run": sorted(shared + ["--gateway-mode", "--max-concurrency",
+                                    "--out"]),
+            "sweep": sorted(shared + ["--gateway-mode", "--grid",
+                                      "--max-concurrency", "--out"]),
             "replay-verify": shared,
             "eval": ["--dataset", "--dataset-kind", "--help", "--out",
                      "--predictions", "-h"],

@@ -3,14 +3,21 @@ HTTP fixture server, replay mode, and the retry budget."""
 
 import hashlib
 import json
+import os
 import socket
+import subprocess
+import sys
 import threading
 import time
+import tomllib
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import asdict, replace
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
+from conftest import REPO_ROOT
 from decisionflow import cli, gateway
 from decisionflow.errors import (
     BackendError,
@@ -194,15 +201,25 @@ class CannedHandler(BaseHTTPRequestHandler):
         pass
 
 
+@contextmanager
+def serving(handler):
+    """The URL of a local ``ThreadingHTTPServer`` running ``handler``."""
+    server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
+    threading.Thread(target=server.serve_forever, args=(0.01,),
+                     daemon=True).start()
+    try:
+        yield f"http://127.0.0.1:{server.server_port}"
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
 @pytest.fixture
 def fixture_server():
     CannedHandler.calls = 0
     CannedHandler.include_usage = True
-    server = ThreadingHTTPServer(("127.0.0.1", 0), CannedHandler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    yield f"http://127.0.0.1:{server.server_port}"
-    server.shutdown()
+    with serving(CannedHandler) as url:
+        yield url
 
 
 class TestRecordMode:
@@ -570,12 +587,8 @@ class TestHttpTransportStatuses:
             def log_message(self, *args):
                 pass
 
-        server = ThreadingHTTPServer(("127.0.0.1", 0), StatusHandler)
-        threading.Thread(target=server.serve_forever, args=(0.01,),
-                         daemon=True).start()
-        yield StatusHandler, f"http://127.0.0.1:{server.server_port}"
-        server.shutdown()
-        server.server_close()
+        with serving(StatusHandler) as url:
+            yield StatusHandler, url
 
     def test_5xx_and_429_are_transport_errors(self, status_server):
         handler, url = status_server
@@ -624,13 +637,23 @@ class TestHttpTransportStatuses:
     @pytest.mark.parametrize("body, message", [
         (b"<html>busy</html>", "non-JSON body"),
         (b'{"choices": [{"message": {}}], "usage": {}}', "no completion text"),
-    ], ids=["not_json", "no_text"])
+        (b"[1, 2]", "no completion text"),
+        (b"null", "no completion text"),
+        (b'{"text": "caf\xe9"}', "non-UTF-8"),
+    ], ids=["not_json", "no_text", "json_list", "json_null", "not_utf8"])
     def test_ok_reply_without_text_is_backend_error(self, status_server,
                                                      body, message):
         handler, url = status_server
         handler.status, handler.body = 200, body
         with pytest.raises(BackendError, match=message):
             HttpTransport(base_url=url).send(REQ)
+
+    def test_unusable_ok_reply_carries_its_text(self, status_server):
+        handler, url = status_server
+        handler.status, handler.body = 200, b"null"
+        with pytest.raises(BackendError) as err:
+            HttpTransport(base_url=url).send(REQ)
+        assert err.value.payload == "null"
 
     @pytest.mark.parametrize("param, env, header", [
         ("param-key", None, "Bearer param-key"),
@@ -648,3 +671,71 @@ class TestHttpTransportStatuses:
             monkeypatch.setenv(API_KEY_ENV, env)
         HttpTransport(base_url=url, api_key=param).send(REQ)
         assert handler.authorizations == [header]
+
+    @pytest.mark.parametrize("status", [307, 308])
+    def test_redirect_of_the_post_is_backend_error(self, status_server, status):
+        handler, url = status_server
+        handler.status = status
+        with pytest.raises(BackendError, match=f"HTTP {status}"):
+            HttpTransport(base_url=url).send(REQ)
+
+    @pytest.mark.parametrize("reply, delay", [
+        (b"HTTP/1.1 200 OK\r\nContent-Length: 100\r\n\r\n" b'{"text": "o', 0.0),
+        (b"NOT HTTP\r\n\r\n", 0.0),
+        (b"HTTP/1.1 200 OK\r\nContent-Length: 14\r\n\r\n" b'{"text": "ok"}', 1.0),
+    ], ids=["truncated_body", "malformed_status_line", "read_timeout"])
+    def test_broken_reply_is_a_transport_error(self, monkeypatch, reply, delay):
+        class RawHandler(BaseHTTPRequestHandler):
+            def do_POST(self):
+                self.rfile.read(int(self.headers["Content-Length"]))
+                time.sleep(delay)
+                self.wfile.write(reply)
+                self.close_connection = True
+
+            def log_message(self, *args):
+                pass
+
+        monkeypatch.setattr(gateway, "HTTP_TIMEOUT_S", 0.3)
+        with serving(RawHandler) as url:
+            with pytest.raises(TransportError, match="request failed"):
+                HttpTransport(base_url=url).send(REQ)
+
+    def test_concurrent_sends_each_get_their_own_reply(self, fixture_server):
+        transport = HttpTransport(base_url=fixture_server)
+        start = threading.Barrier(4)
+
+        def sends(thread):
+            start.wait()
+            prompts = [f"thread {thread} send {i}" for i in range(20)]
+            return [(prompt, transport.send(replace(REQ, prompt=prompt)).text)
+                    for prompt in prompts]
+
+        with ThreadPoolExecutor(4) as pool:
+            pairs = [pair for done in pool.map(sends, range(4)) for pair in done]
+        assert len({prompt for prompt, _ in pairs}) == 80
+        assert all(text == f"echo: {prompt}" for prompt, text in pairs)
+
+
+def test_the_package_needs_only_the_standard_library():
+    child = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "from decisionflow import cli, testing\n"
+        "from decisionflow.errors import TransportError\n"
+        "from decisionflow.gateway import CompletionRequest, HttpTransport\n"
+        "try:\n"
+        "    HttpTransport(sys.argv[1]).send(CompletionRequest('m', 'p', 0.0))\n"
+        "except TransportError:\n"
+        "    pass\n"
+        "loaded = {name.partition('.')[0] for name in set(sys.modules) - before}\n"
+        "print(sorted(loaded - sys.stdlib_module_names - {'decisionflow'}))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src"),
+           "PYTHONDONTWRITEBYTECODE": "1"}
+    done = subprocess.run([sys.executable, "-c", child, _closed_port_url()],
+                          cwd=REPO_ROOT, env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
+    project = tomllib.loads((REPO_ROOT / "pyproject.toml").read_text())
+    assert project["project"]["dependencies"] == []
