@@ -21,14 +21,10 @@ from datetime import datetime, timezone
 from json.encoder import c_make_encoder, encode_basestring_ascii
 from operator import attrgetter, itemgetter
 from pathlib import Path
+from urllib.parse import urlsplit
 
 from .datasets import write_json
-from .errors import (
-    BackendError,
-    ReplayMissError,
-    TranscriptCorruptError,
-    TransportError,
-)
+from .errors import BackendError, ReplayMissError, TranscriptCorruptError, TransportError
 
 log = logging.getLogger(__name__)
 
@@ -207,25 +203,34 @@ class TranscriptStore:
 
 class HttpTransport:
     """Chat-completions-style HTTP backend speaking JSON over POST. Each send
-    has its own connection: no pool, as a TLS handshake is small next to a call."""
+    opens its own connection: no pool (README "Install" says what that costs)."""
 
     def __init__(self, base_url: str | None = None, api_key: str | None = None):
         self.base_url = (base_url or os.environ.get(BASE_URL_ENV, "")).rstrip("/")
         self.api_key = api_key or os.environ.get(API_KEY_ENV, "")
         if not self.base_url:
             raise ValueError(f"no backend URL: set {BASE_URL_ENV} or pass base_url")
+        from urllib.request import HTTPRedirectHandler, Request, build_opener
+
+        class Redirect(HTTPRedirectHandler):  # urllib alone will not re-send a POST
+            def redirect_request(self, req, fp, code, msg, headers, newurl):
+                if code not in (307, 308):
+                    return super().redirect_request(req, fp, code, msg, headers, newurl)
+                old, new, headers = urlsplit(req.full_url), urlsplit(newurl), dict(req.headers)
+                if new.hostname != old.hostname or (old.scheme, new.scheme) == ("https", "http"):
+                    headers.pop("Authorization", None)  # the key stays with its host
+                return Request(newurl, req.data, headers)  # the method follows the body
+
+        self._open = build_opener(Redirect).open
 
     def send(self, request: CompletionRequest) -> BackendReply:
         from http.client import HTTPException  # here: replay loads none of them
         from urllib.error import HTTPError
-        from urllib.request import Request, urlopen
+        from urllib.request import Request
 
-        payload = {
-            "model": request.model,
-            "messages": [{"role": "user", "content": request.prompt}],
-            "temperature": request.temperature,
-            "max_tokens": request.max_tokens,
-        }
+        payload = {"model": request.model,
+                   "messages": [{"role": "user", "content": request.prompt}],
+                   "temperature": request.temperature, "max_tokens": request.max_tokens}
         headers = {"Content-Type": "application/json"}
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"
@@ -233,26 +238,27 @@ class HttpTransport:
         started = time.perf_counter()
         try:
             try:
-                resp = urlopen(post, timeout=HTTP_TIMEOUT_S)
+                resp = self._open(post, timeout=HTTP_TIMEOUT_S)
             except HTTPError as err:  # any status but 2xx: read it as a reply
                 resp = err
             with resp:
-                status, data = resp.status, resp.read()
+                status, location, data = resp.status, resp.headers["Location"], resp.read()
         except (OSError, HTTPException) as err:
             raise TransportError(f"request failed: {err}") from err
         latency = time.perf_counter() - started
 
-        body_text = data.decode("utf-8", "replace")
         if status == 429 or status >= 500:
             raise TransportError(f"backend returned HTTP {status}")
-        if status >= 300:
-            raise BackendError(f"backend rejected the request with HTTP {status}",
-                               payload=body_text)
+        if status >= 300:  # a redirect that got here had no Location, or looped
+            where = f" (Location: {location})" if location else ""
+            raise BackendError(f"backend rejected the request with HTTP {status}{where}",
+                               payload=data.decode("utf-8", "replace"))
         try:  # strictly: a replaced character would be stored for good
-            body = json.loads(data.decode("utf-8"))
+            body_text = data.decode("utf-8")
+            body = json.loads(body_text)
         except ValueError as err:
             raise BackendError("backend returned a non-UTF-8 or non-JSON body",
-                               payload=body_text) from err
+                               payload=data.decode("utf-8", "replace")) from err
         text = _extract_text(body) if isinstance(body, dict) else None
         if text is None:
             raise BackendError("no completion text in backend reply", payload=body_text)
@@ -396,23 +402,16 @@ class LlmGateway:
         return completion_from_entry(entry, request, self.store)
 
     def _call_with_retries(self, request: CompletionRequest) -> tuple[BackendReply, int]:
-        last: TransportError | None = None
         for attempt in range(1, MAX_ATTEMPTS + 1):
             try:
                 return self.transport.send(request), attempt
             except TransportError as err:
-                last = err
-                if attempt < MAX_ATTEMPTS:
-                    delay = BACKOFF_S * (2 ** (attempt - 1))
-                    log.warning(
-                        "transport failure (attempt %d/%d), retrying in %.2fs: %s",
-                        attempt,
-                        MAX_ATTEMPTS,
-                        delay,
-                        err,
-                    )
-                    time.sleep(delay)
-        raise last
+                if attempt == MAX_ATTEMPTS:
+                    raise
+                delay = BACKOFF_S * (2 ** (attempt - 1))
+                log.warning("transport failure (attempt %d/%d), retrying in %.2fs: %s",
+                            attempt, MAX_ATTEMPTS, delay, err)
+                time.sleep(delay)
 
 
 def completion_from_entry(entry: dict, request: CompletionRequest,
