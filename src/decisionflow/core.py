@@ -173,30 +173,25 @@ NOT_MENTIONED = "not mentioned"
 
 
 @dataclass(frozen=True)
-class RelevanceCell:
-    """Verbal relevance of one attribute to one action."""
-
-    verbal: str
-
-    @property
-    def mentioned(self) -> bool:
-        return canonical_name(self.verbal) != NOT_MENTIONED
-
-
-@dataclass(frozen=True)
 class AttributeTable:
-    """Verbal relevance grid: one row per action, one column per attribute."""
+    """Verbal relevance grid: one row per action, one column per attribute.
+
+    Two readings are worked out once, on construction, and are not fields:
+    ``columns`` maps each attribute's canonical name to its column, and
+    ``mentioned[i][j]`` is false where cell (i, j) canonicalises to
+    "not mentioned".
+    """
 
     actions: tuple[str, ...]
     attributes: tuple[str, ...]
-    cells: tuple[tuple[RelevanceCell, ...], ...]
+    cells: tuple[tuple[str, ...], ...]
 
     def __post_init__(self):
         object.__setattr__(self, "actions", tuple(self.actions))
         object.__setattr__(self, "attributes", tuple(self.attributes))
         object.__setattr__(self, "cells", tuple(tuple(row) for row in self.cells))
-        canon = [canonical_name(a) for a in self.attributes]
-        if len(set(canon)) != len(canon):
+        columns = {canonical_name(a): j for j, a in enumerate(self.attributes)}
+        if len(columns) != len(self.attributes):
             raise ValueError("attribute names must be distinct after canonicalization")
         if len(self.cells) != len(self.actions):
             raise ShapeError(
@@ -207,13 +202,14 @@ class AttributeTable:
                 raise ShapeError(
                     f"table row {i} has {len(row)} cells for {len(self.attributes)} attributes"
                 )
+        object.__setattr__(self, "columns", columns)
+        object.__setattr__(self, "mentioned", tuple(
+            tuple(canonical_name(cell) != NOT_MENTIONED for cell in row)
+            for row in self.cells))
 
     @property
     def shape(self) -> tuple[int, int]:
         return (len(self.actions), len(self.attributes))
-
-    def verbal_grid(self) -> tuple[tuple[str, ...], ...]:
-        return tuple(tuple(c.verbal for c in row) for row in self.cells)
 
 
 @dataclass(frozen=True)

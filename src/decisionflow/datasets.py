@@ -104,6 +104,10 @@ def _string_list(obj: dict, name: str, line: int, *, min_len=1) -> tuple[str, ..
             f"must be a list of at least {min_len} non-empty strings",
             line=line, field=name,
         )
+    for i, label in enumerate(value):
+        if label in value[:i]:
+            raise DatasetError(f"repeats the label {label!r}",
+                               line=line, field=name)
     return tuple(value)
 
 

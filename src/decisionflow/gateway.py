@@ -153,26 +153,9 @@ class TranscriptStore:
 
     def read(self, digest: str) -> dict | None:
         """The stored entry, or None when there is none; TranscriptCorruptError
-        when the file holds anything but a JSON object in UTF-8.
-
-        The path is a plain string and the bytes are decoded before they are
-        parsed: ``json.loads`` of bytes would take UTF-16 and UTF-32 too."""
-        try:
-            with open(self._file(digest), "rb", buffering=0) as fh:
-                data = fh.read()
-        except FileNotFoundError:
-            return None
-        try:
-            entry = json.loads(data.decode("utf-8"))
-        except (json.JSONDecodeError, UnicodeDecodeError) as err:
-            raise TranscriptCorruptError(
-                f"transcript {self.path_for(digest)} is not valid JSON: {err}"
-            ) from err
-        if not isinstance(entry, dict):
-            raise TranscriptCorruptError(
-                f"transcript {self.path_for(digest)} holds "
-                f"{type(entry).__name__}, not a JSON object")
-        return entry
+        when the file holds anything but a JSON object in UTF-8. The path
+        goes to ``open`` as a plain string, not a Path."""
+        return _read_entry(self._file(digest))
 
     def write(self, digest: str, entry: dict) -> None:
         path = self.path_for(digest)
@@ -183,22 +166,45 @@ class TranscriptStore:
         return sorted(p.stem for p in self.root.glob("*/*.json"))
 
     def verify(self) -> int:
-        """Check every entry as a gateway read does, and that its request
-        hashes back to its file name; returns the number of entries checked."""
-        digests = self.digests()
-        for digest in digests:
-            path = self.path_for(digest)
-            entry = self.read(digest)
+        """Check every ``*.json`` file under the root as a gateway read does,
+        and that its request hashes to the digest that names its path;
+        returns the number of files checked."""
+        paths = sorted(self.root.rglob("*.json"))
+        for path in paths:
+            entry = _read_entry(path)
             try:
                 request = CompletionRequest(**entry["request"])
             except (KeyError, TypeError, ValueError) as err:
                 raise TranscriptCorruptError(
                     f"transcript {path} has a malformed request: {err}") from err
-            if request.digest != digest:
-                raise TranscriptCorruptError(
-                    f"transcript {path} hashes to {request.digest}")
+            home = self.path_for(request.digest)
+            if path != home:
+                raise TranscriptCorruptError(f"transcript {path} hashes to "
+                                             f"{request.digest}; it belongs at {home}")
             completion_from_entry(entry, request, self)
-        return len(digests)
+        return len(paths)
+
+
+def _read_entry(path) -> dict | None:
+    """The JSON object in the file at ``path``, or None when there is none.
+
+    The bytes are decoded before they are parsed: ``json.loads`` of bytes
+    would take UTF-16 and UTF-32 too."""
+    try:
+        with open(path, "rb", buffering=0) as fh:
+            data = fh.read()
+    except FileNotFoundError:
+        return None
+    try:
+        entry = json.loads(data.decode("utf-8"))
+    except (json.JSONDecodeError, UnicodeDecodeError) as err:
+        raise TranscriptCorruptError(
+            f"transcript {Path(path)} is not valid JSON: {err}") from err
+    if not isinstance(entry, dict):
+        raise TranscriptCorruptError(
+            f"transcript {Path(path)} holds {type(entry).__name__}, "
+            "not a JSON object")
+    return entry
 
 
 class HttpTransport:

@@ -92,7 +92,8 @@ def _is_correct(prediction: PredictionRow, gold: int) -> bool:
 
 
 def _group_predictions(predictions, records_by_id):
-    """Validate and bucket predictions by repeat; full coverage per repeat."""
+    """Validate and bucket predictions by repeat; full coverage per repeat,
+    and each answer an index of its record's choices or actions."""
     predictions = list(predictions)
     if not predictions:
         raise ValueError("no predictions to evaluate")
@@ -104,6 +105,14 @@ def _group_predictions(predictions, records_by_id):
         if prediction.record_id not in records_by_id:
             raise ValueError(
                 f"prediction for unknown record id {prediction.record_id!r}"
+            )
+        record = records_by_id[prediction.record_id]
+        n = len(getattr(record, "choices", None) or record.actions)
+        if prediction.answer is not None and not 0 <= prediction.answer < n:
+            raise ValueError(
+                f"prediction for {prediction.record_id!r} in repeat "
+                f"{prediction.repeat} answers {prediction.answer}, outside "
+                f"its record's actions [0, {n - 1}]"
             )
         bucket = by_repeat.setdefault(prediction.repeat, {})
         if prediction.record_id in bucket:

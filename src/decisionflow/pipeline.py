@@ -440,7 +440,7 @@ def run_structured(problem: DecisionProblem, ctx: ExperimentContext,
     n, m = table.shape
     trace.append(_event("S1", "parsed", "attribute_table", {
         "attributes": list(table.attributes),
-        "cells": [list(row) for row in table.verbal_grid()],
+        "cells": [list(row) for row in table.cells],
     }))
 
     # --- S2: weigh every cell, then sparsify (reasoning model) ---
@@ -473,10 +473,10 @@ def run_structured(problem: DecisionProblem, ctx: ExperimentContext,
             {
                 "Variable": problem.actions[i],
                 "Attribute": table.attributes[j],
-                "Value": table.cells[i][j].verbal,
+                "Value": table.cells[i][j],
             }
             for i in range(n) for j in range(m)
-            if (i, j) in surviving and table.cells[i][j].mentioned
+            if (i, j) in surviving and table.mentioned[i][j]
         ]
     }
     if not cells_payload["Cells"]:
@@ -543,7 +543,7 @@ def _weigh_cells(problem, ctx, table, trace, bias, constraints_text) -> WeightMa
                 "constraints": constraints_text,
                 "action": problem.actions[i],
                 "attribute": table.attributes[j],
-                "verbal": table.cells[i][j].verbal,
+                "verbal": table.cells[i][j],
             }))
         for (i, j) in cells
     ]
@@ -573,7 +573,7 @@ def _rationale_call(problem, ctx, table, sol, trace, bias) -> str:
     ]
     contributions.sort(key=lambda t: (-t[0], t[1]))
     influential = _bullets([
-        f"{table.attributes[j]} = {table.cells[sol.answer][j].verbal} "
+        f"{table.attributes[j]} = {table.cells[sol.answer][j]} "
         f"(contribution {value:.6g})"
         for value, j in contributions[:3]
     ])

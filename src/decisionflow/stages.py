@@ -29,8 +29,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Mapping
 
-from .core import (NOT_MENTIONED, AttributeTable, RelevanceCell, canonical_name,
-                   finite_float)
+from .core import NOT_MENTIONED, AttributeTable, canonical_name, finite_float
 from .errors import (
     AlignmentError,
     AnswerRangeError,
@@ -275,6 +274,20 @@ def _as_number(value: object) -> float | None:
     return finite_float(value)
 
 
+def _unit_interval(value: object, what: str, raw: str) -> float:
+    """value read by `_as_number` and clamped into [0, 1] with one warning;
+    SchemaError naming ``what`` when it is not a finite number. A value in
+    range comes back as it was read."""
+    number = _as_number(value)
+    if number is None:
+        raise SchemaError(f"{what} is not a finite number: {value!r}", raw=raw)
+    if not 0.0 <= number <= 1.0:
+        clamped = min(1.0, max(0.0, number))
+        log.warning("%s is %s, outside [0, 1]; clamped to %s", what, number, clamped)
+        return clamped
+    return number
+
+
 def _label_tokens(label: str) -> set[str]:
     return {tok for tok in canonical_name(label).split() if len(tok) >= 3}
 
@@ -404,10 +417,7 @@ def parse_attribute_table(text: str, actions) -> AttributeTable:
                 continue
             filled[key] = verbal if verbal else NOT_MENTIONED
     cells = tuple(
-        tuple(
-            RelevanceCell(filled.get((i, canon), NOT_MENTIONED))
-            for canon in attr_order
-        )
+        tuple(filled.get((i, canon), NOT_MENTIONED) for canon in attr_order)
         for i in range(len(actions))
     )
     return AttributeTable(
@@ -422,15 +432,7 @@ def parse_weight(text: str) -> tuple[str, float]:
     payload = _json_object(text)
     if "Weight" not in payload:
         raise SchemaError("completion lacks a 'Weight' key", raw=text)
-    weight = _as_number(payload["Weight"])
-    if weight is None:
-        raise SchemaError(
-            f"'Weight' is not a finite number: {payload['Weight']!r}", raw=text
-        )
-    if not 0.0 <= weight <= 1.0:
-        clamped = min(1.0, max(0.0, weight))
-        log.warning("weight %s outside [0, 1]; clamped to %s", weight, clamped)
-        weight = clamped
+    weight = _unit_interval(payload["Weight"], "'Weight'", text)
     explanation = payload.get("Explanation", "")
     return (str(explanation) if explanation is not None else "", weight)
 
@@ -474,7 +476,6 @@ def parse_grounding(text: str, table: AttributeTable, surviving) -> tuple:
     if not isinstance(items, list):
         raise SchemaError("'Scores' must be an array", raw=text)
 
-    canon_attrs = {canonical_name(a): j for j, a in enumerate(table.attributes)}
     canon_actions = [canonical_name(label) for label in table.actions]
     scored: dict[tuple[int, int], float] = {}
     for item in items:
@@ -485,22 +486,12 @@ def parse_grounding(text: str, table: AttributeTable, surviving) -> tuple:
         if not isinstance(var, str) or not isinstance(attr, str):
             raise SchemaError("score entry lacks Variable/Attribute names", raw=text)
         i = _match_canonical(var, canon_actions)
-        j = canon_attrs.get(canonical_name(attr))
+        j = table.columns.get(canonical_name(attr))
         if i is None or j is None:
             log.warning("score for unknown cell (%r, %r) ignored", var, attr)
             continue
-        value = _as_number(item.get("Score"))
-        if value is None:
-            raise SchemaError(
-                f"score for ({var!r}, {attr!r}) is not a finite number", raw=text
-            )
-        if not 0.0 <= value <= 1.0:
-            clamped = min(1.0, max(0.0, value))
-            log.warning(
-                "score %s for (%r, %r) outside [0, 1]; clamped to %s",
-                value, var, attr, clamped,
-            )
-            value = clamped
+        value = _unit_interval(item.get("Score"),
+                               f"score for ({var!r}, {attr!r})", text)
         if (i, j) not in scored:
             scored[(i, j)] = value
 
@@ -510,8 +501,7 @@ def parse_grounding(text: str, table: AttributeTable, surviving) -> tuple:
     for i in range(n):
         row = []
         for j in range(m):
-            cell = table.cells[i][j]
-            if not cell.mentioned:
+            if not table.mentioned[i][j]:
                 row.append(0.0)
             elif (i, j) in scored:
                 row.append(scored[(i, j)])

@@ -8,7 +8,7 @@ both run this table; any exception outside the documented class is a crash.
 from dataclasses import dataclass, field
 from typing import Callable
 
-from decisionflow.core import AttributeTable, RelevanceCell
+from decisionflow.core import AttributeTable
 from decisionflow.errors import (
     AlignmentError,
     AnswerRangeError,
@@ -31,8 +31,8 @@ TABLE = AttributeTable(
     actions=ACTIONS,
     attributes=("Medical condition", "Survival probability"),
     cells=(
-        (RelevanceCell("severe bleeding"), RelevanceCell("low")),
-        (RelevanceCell("head trauma"), RelevanceCell("not mentioned")),
+        ("severe bleeding", "low"),
+        ("head trauma", "not mentioned"),
     ),
 )
 
@@ -163,11 +163,11 @@ CASES = [
                 '{"Attribute": "condition!", "Value": "head trauma"},'
                 '{"Attribute": "Survival probability", "Value": "high"}]}]}'),
          check=lambda out: out.shape == (2, 2)
-         and out.cells[0][1].verbal == "not mentioned"),
+         and out.cells[0][1] == "not mentioned"),
     Case("table_string_style_attributes",
          _table('{"Variable": [{"Variable": "Treat the bomber", '
                 '"Attribute": ["Survival: high", "Age: 30s"]}]}'),
-         check=lambda out: out.cells[1][0].verbal == "high"),
+         check=lambda out: out.cells[1][0] == "high"),
     Case("table_unknown_variable",
          _table('{"Variable": [{"Variable": "the helicopter", "Attribute": []}]}'),
          error=AlignmentError),

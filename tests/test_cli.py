@@ -876,6 +876,52 @@ class TestForkedReplay:
             assert before <= set(left)
             assert all(data == reference[name] for name, data in left.items())
 
+    def test_corrupt_transcript_fails_alike_at_every_c(self, tmp_path,
+                                                      capsys):
+        """Run 5 reads a truncated transcript and run 10 a deleted one: the
+        workers send run 5's error back, and it alone is reported."""
+        full = tmp_path / "full"
+        assert cli.main(["run", "--config", str(make_config(tmp_path)),
+                         "--out", str(full)]) == 0
+        reference = trace_files(full)
+        ids = [r.record_id for r in
+               load_dataset(DATASET_DIR / "mta_small.jsonl", "mta")]
+        reads = {
+            record_id: {event["payload"]["digest"]
+                        for event in json.loads(reference[f"{record_id}__r0.json"])
+                        if event["kind"] == "completion"}
+            for record_id in ids}
+
+        def read_only_by(run):
+            others = set().union(*(d for i, d in reads.items() if i != run))
+            return min(reads[run] - others)
+
+        store = TranscriptStore(tmp_path / "store")
+        shutil.copytree(CORPUS_DIR, store.root)
+        corrupt = store.path_for(read_only_by(ids[4]))
+        corrupt.write_text('{"digest": 1', encoding="utf-8")
+        store.path_for(read_only_by(ids[9])).unlink()
+
+        out = tmp_path / "out"
+        errors, left = {}, {}
+        for c in (1, 2, 4):
+            config = make_config(tmp_path, transcripts=str(store.root),
+                                 max_concurrency=c)
+            assert cli.main(["run", "--config", str(config)]) == 1
+            errors[c] = capsys.readouterr().err
+            left[c] = trace_files(out)
+            shutil.rmtree(out)
+        assert errors[1].startswith(f"error: transcript {corrupt} is not "
+                                    "valid JSON")
+        assert errors[1].count("\n") == 1
+        assert set(left[1]) == {f"{i}__r0.json" for i in ids[:4]}
+        for c in (2, 4):
+            assert errors[c] == errors[1]
+            assert set(left[1]) <= set(left[c])
+        for files in left.values():
+            assert all(data == reference[name] for name, data in files.items())
+        assert children(os.getpid()) == []
+
     def test_killed_worker_fails_the_run(self, tmp_path):
         config = make_config(tmp_path, repeats=40, max_concurrency=2)
         out = tmp_path / "out"
@@ -1206,6 +1252,34 @@ class TestReplayVerifyCommand:
         ]) == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("garbage", [False, True])
+    def test_misplaced_transcript_is_fatal(self, tmp_path, capsys, garbage):
+        """A file that sits where no read would look for it is still read."""
+        store_dir = tmp_path / "store"
+        shutil.copytree(CORPUS_DIR, store_dir)
+        original = min(store_dir.glob("*/*.json"))
+        stray = store_dir / "ff" / original.name
+        assert original.parent.name != "ff"
+        stray.parent.mkdir(exist_ok=True)
+        stray.write_bytes(b"garbage" if garbage else original.read_bytes())
+        assert cli.main([
+            "replay-verify", "--transcripts", str(store_dir),
+        ]) == 1
+        err = capsys.readouterr().err
+        expected = ("is not valid JSON" if garbage else
+                    f"hashes to {original.stem}; it belongs at {original}")
+        assert err.startswith(f"error: transcript {stray} {expected}")
+
+    def test_stray_json_file_is_fatal(self, tmp_path, capsys):
+        store_dir = tmp_path / "store"
+        shutil.copytree(CORPUS_DIR, store_dir)
+        stray = store_dir / "03" / "notes.json"
+        stray.write_text("{}", encoding="utf-8")
+        assert cli.main([
+            "replay-verify", "--transcripts", str(store_dir),
+        ]) == 1
+        assert capsys.readouterr().err == (
+            f"error: transcript {stray} has a malformed request: 'request'\n")
 
     def test_truncated_transcript_names_its_file(self, tmp_path, capsys,
                                                  monkeypatch):

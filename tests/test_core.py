@@ -11,7 +11,6 @@ from decisionflow.core import (
     DecisionProblem,
     FilteredMatrix,
     FilterPolicy,
-    RelevanceCell,
     WeightMatrix,
     apply_mask,
     canonical_name,
@@ -307,19 +306,22 @@ class TestTypes:
         with pytest.raises(ValueError):
             DecisionProblem("p", "s", ("a", "b"), gold=5)
 
-    def test_relevance_cell_mentioned(self):
-        assert RelevanceCell("not mentioned").mentioned is False
-        assert RelevanceCell("severe bleeding").mentioned is True
+    def test_attribute_table_mentioned(self):
+        table = AttributeTable(
+            actions=("a", "b"),
+            attributes=("Severity", "Survival probability"),
+            cells=(("not mentioned", "severe bleeding"),
+                   ("Not  Mentioned.", "mentioned")),
+        )
+        assert table.mentioned == ((False, True), (False, True))
+        assert table.columns == {"severity": 0, "survival probability": 1}
 
     def test_attribute_table_rejects_duplicate_canonical_names(self):
         with pytest.raises(ValueError):
             AttributeTable(
                 actions=("a", "b"),
                 attributes=("Severity", "severity!"),
-                cells=(
-                    (RelevanceCell("x"), RelevanceCell("y")),
-                    (RelevanceCell("x"), RelevanceCell("y")),
-                ),
+                cells=(("x", "y"), ("x", "y")),
             )
 
     def test_canonical_name_folds_case_punctuation_whitespace(self):

@@ -125,6 +125,7 @@ class TestMtaValidation:
             ({"scenario": ""}, "scenario"),
             ({"id": 7}, "id"),
             *[({"id": record_id}, "id") for record_id in UNSAFE_IDS],
+            ({"choices": ["Treat A", "Treat A"]}, "choices"),
         ],
     )
     def test_mutations_name_the_field(self, tmp_path, overrides, field):
@@ -199,6 +200,18 @@ class TestDellmaValidation:
         with pytest.raises(DatasetError) as err:
             load_dataset(path, "dellma")
         assert err.value.field == "actions"
+
+    def test_repeated_action_label(self, tmp_path):
+        path = tmp_path / "dup.jsonl"
+        _write_lines(path, [{
+            "id": "d1", "domain": "stocks", "context": "prices",
+            "actions": ["Buy A", "Buy B", "Buy A"], "gold": 0,
+        }])
+        with pytest.raises(DatasetError) as err:
+            load_dataset(path, "dellma")
+        assert (err.value.line, err.value.field) == (1, "actions")
+        assert err.value.path == str(path)
+        assert "'Buy A'" in str(err.value)
 
     @pytest.mark.parametrize("record_id", UNSAFE_IDS)
     def test_id_must_be_a_plain_file_name(self, tmp_path, record_id):

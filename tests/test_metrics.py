@@ -199,6 +199,12 @@ class TestEvaluateMta:
             evaluate(PREDICTIONS[:3] + PREDICTIONS[4:], RECORDS, "mta")
         with pytest.raises(ValueError, match="unknown dataset kind"):
             evaluate(PREDICTIONS, RECORDS, "laundry")
+        for answer in (2, 99):  # 2: a 1-based answer to the second choice
+            with pytest.raises(ValueError, match=(
+                    f"'rec-b' in repeat 1 answers {answer}, "
+                    r"outside its record's actions \[0, 1\]")):
+                evaluate(PREDICTIONS[:5] + [_pred("rec-b", 1, answer)]
+                         + PREDICTIONS[6:], RECORDS, "mta")
 
 
 class TestEvaluateDellma(object):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import CORPUS_DIR
 from decisionflow import stages
-from decisionflow.core import NOT_MENTIONED, AttributeTable, RelevanceCell
+from decisionflow.core import NOT_MENTIONED, AttributeTable
 from decisionflow.errors import DecisionFlowError, SchemaError, TemplateError
 from decisionflow.stages import (
     STAGES,
@@ -150,6 +150,21 @@ class TestParserWarnings:
         assert weight == 1.0
         assert any("clamped" in rec.message for rec in caplog.records)
 
+    def test_clamped_score_warns_once(self, caplog):
+        text = ('{"Scores": [{"Variable": "alpha", "Attribute": "cost", '
+                '"Score": "1.5"}]}')
+        with caplog.at_level(logging.WARNING, logger="decisionflow.stages"):
+            grid = parse_grounding(text, TWO_BY_ONE, [(0, 0)])
+        assert grid == ((1.0,), (0.0,))
+        assert [rec.message for rec in caplog.records] == [
+            "score for ('alpha', 'cost') is 1.5, outside [0, 1]; clamped to 1.0"]
+
+    def test_value_in_range_is_returned_as_read(self, caplog):
+        with caplog.at_level(logging.WARNING, logger="decisionflow.stages"):
+            _, weight = parse_weight('{"Weight": -0.0}')
+        assert str(weight) == "-0.0"
+        assert caplog.records == []
+
     def test_statement_without_subject_is_logged_and_kept(self, caplog):
         with caplog.at_level(logging.WARNING, logger="decisionflow.stages"):
             out = parse_extraction(
@@ -167,13 +182,12 @@ class TestParserWarnings:
         )
         with caplog.at_level(logging.WARNING, logger="decisionflow.stages"):
             table = parse_attribute_table(text, ("alpha", "beta"))
-        assert table.cells[0][0].verbal == "low"
+        assert table.cells[0][0] == "low"
         assert any("duplicate attribute" in rec.message for rec in caplog.records)
 
 
 TWO_BY_ONE = AttributeTable(actions=("alpha", "beta"), attributes=("Cost",),
-                            cells=((RelevanceCell("low"),),
-                                   (RelevanceCell("high"),)))
+                            cells=(("low",), ("high",)))
 
 
 @pytest.mark.parametrize("value", [
@@ -220,7 +234,7 @@ class TestLabelsCanonicalisedOncePerParse:
         table, calls = self.count_canonical_calls(
             monkeypatch, lambda: parse_attribute_table(text, self.ACTIONS))
         assert table.attributes == self.ATTRS
-        assert all(cell.verbal == "v" for row in table.cells for cell in row)
+        assert all(cell == "v" for row in table.cells for cell in row)
         items = len(entries) * (1 + len(self.ATTRS))
         assert calls <= items + len(self.ACTIONS)
 
@@ -228,15 +242,14 @@ class TestLabelsCanonicalisedOncePerParse:
         n, m = len(self.ACTIONS), len(self.ATTRS)
         table = AttributeTable(
             actions=self.ACTIONS, attributes=self.ATTRS,
-            cells=tuple(tuple(RelevanceCell("v") for _ in range(m))
-                        for _ in range(n)))
+            cells=(("v",) * m,) * n)
         scores = [{"Variable": f"action number {i}", "Attribute": a,
                    "Score": 0.5} for i in reversed(range(n)) for a in self.ATTRS]
         text = json.dumps({"Scores": scores})
         grid, calls = self.count_canonical_calls(
             monkeypatch, lambda: parse_grounding(text, table, []))
         assert grid == ((0.5,) * m,) * n
-        assert calls <= 2 * len(scores) + n + m
+        assert calls <= 2 * len(scores) + n
 
 
 class TestAttributeTableShape:
@@ -249,8 +262,8 @@ class TestAttributeTableShape:
         )
         table = parse_attribute_table(text, ("alpha", "beta"))
         assert table.attributes == ("Cost", "Speed")
-        assert table.cells[0][1].verbal == NOT_MENTIONED
-        assert table.cells[1][0].verbal == NOT_MENTIONED
+        assert table.cells[0][1] == NOT_MENTIONED
+        assert table.cells[1][0] == NOT_MENTIONED
 
     def test_attribute_names_canonicalize_across_variants(self):
         text = (
