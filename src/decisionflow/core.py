@@ -132,10 +132,13 @@ def parse_constraint(text: str) -> Constraint:
     """
     if CARDINALITY_RE.match(text):
         lhs, rhs = text.split("<=")
-        over = frozenset(int(tok) - 1 for tok in VAR_INDEX_RE.findall(lhs))
-        return Constraint(
-            kind="cardinality", source_text=text.strip(), limit=int(rhs), over=over
-        )
+        try:  # x0 names no variable, and int() refuses over 4300 digits
+            over = frozenset(int(tok) - 1 for tok in VAR_INDEX_RE.findall(lhs))
+            return Constraint(
+                kind="cardinality", source_text=text.strip(), limit=int(rhs), over=over
+            )
+        except ValueError:
+            pass
     if BINARY_DOMAIN_RE.match(text):
         return Constraint(kind="binary_domain", source_text=text.strip())
     return Constraint(kind="opaque", source_text=text.strip())

@@ -23,6 +23,7 @@ import os
 import threading
 from contextlib import suppress
 from dataclasses import dataclass, fields
+from functools import cache
 from itertools import repeat
 from json.encoder import c_make_encoder, encode_basestring
 from pathlib import Path
@@ -376,30 +377,6 @@ def write_predictions(rows, path: str | Path) -> None:
     write_records(ordered, path)
 
 
-def mta_problem(record: MtaRecord) -> DecisionProblem:
-    """View an MTA record as a decision problem with standard one-hot
-    constraints."""
-    return DecisionProblem(
-        problem_id=record.record_id,
-        scenario=record.scenario,
-        actions=record.choices,
-        constraints=_one_hot_constraints(len(record.choices)),
-        bias_directive=record.bias_text,
-        gold=record.gold,
-    )
-
-
-def dellma_problem(record: DellmaRecord) -> DecisionProblem:
-    return DecisionProblem(
-        problem_id=record.record_id,
-        scenario=record.context,
-        actions=record.actions,
-        constraints=_one_hot_constraints(len(record.actions)),
-        bias_directive=None,
-        gold=record.gold,
-    )
-
-
 def _one_hot_constraints(n: int) -> tuple[Constraint, ...]:
     variables = [f"x{i + 1}" for i in range(n)]
     return (
@@ -408,8 +385,37 @@ def _one_hot_constraints(n: int) -> tuple[Constraint, ...]:
     )
 
 
+def mta_problem(record: MtaRecord,
+                one_hot=_one_hot_constraints) -> DecisionProblem:
+    """View an MTA record as a decision problem with standard one-hot
+    constraints, ``one_hot(n)`` for n actions."""
+    return DecisionProblem(
+        problem_id=record.record_id,
+        scenario=record.scenario,
+        actions=record.choices,
+        constraints=one_hot(len(record.choices)),
+        bias_directive=record.bias_text,
+        gold=record.gold,
+    )
+
+
+def dellma_problem(record: DellmaRecord,
+                   one_hot=_one_hot_constraints) -> DecisionProblem:
+    return DecisionProblem(
+        problem_id=record.record_id,
+        scenario=record.context,
+        actions=record.actions,
+        constraints=one_hot(len(record.actions)),
+        bias_directive=None,
+        gold=record.gold,
+    )
+
+
 def problems_from_records(records, kind: str):
     if kind not in DATASET_KINDS:
         raise ValueError(f"unknown dataset kind {kind!r}")
     convert = mta_problem if kind == "mta" else dellma_problem
-    return [convert(r) for r in records]
+    # one pair per action count, shared by its problems; built afresh per
+    # call, so every call parses as much as a new process does
+    one_hot = cache(_one_hot_constraints)
+    return [convert(r, one_hot) for r in records]

@@ -217,6 +217,17 @@ class TestParseConstraint:
         assert c.kind == "opaque"
         assert c.source_text == "allocate the ventilator fairly"
 
+    @pytest.mark.parametrize("text", ["x0 <= 1", "x1 + x0 <= 1",
+                                      "x1 <= " + "9" * 5000,
+                                      "x" + "9" * 5000 + " <= 1"],
+                             ids=["x0", "x1+x0", "long_limit", "long_index"])
+    def test_unreadable_cardinality_is_opaque_not_an_error(self, text):
+        # the text is 1-based, so x0 names no variable; int() refuses a
+        # number of more than 4300 digits
+        c = parse_constraint(text)
+        assert c.kind == "opaque"
+        assert c.source_text == text
+
     def test_source_text_round_trip(self):
         text = "x1 + x2 + x5 <= 2"
         c = parse_constraint(text)

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import CONFIG_DIR, REPO_ROOT
 from decisionflow import cli, datasets, pipeline
-from decisionflow.core import feasible_actions
+from decisionflow.core import feasible_actions, parse_constraint
 from decisionflow.datasets import (
     DMA_VALUES,
     MAX_FAST_DEPTH,
@@ -478,6 +478,36 @@ class TestProblemConversion:
         assert problem.bias_directive is None
         assert problem.n_actions == 3
         assert problem.constraints[0].source_text == "x1 + x2 + x3 <= 1"
+
+    @pytest.mark.parametrize("kind", ["mta", "dellma"])
+    def test_one_constraint_pair_per_action_count(self, kind, mta_records,
+                                                  dellma_records, monkeypatch):
+        # dellma_small has one record per action count, so take it twice
+        records = mta_records if kind == "mta" else dellma_records * 2
+        convert = mta_problem if kind == "mta" else dellma_problem
+        parses = []
+
+        def counting(text):
+            parses.append(text)
+            return parse_constraint(text)
+
+        monkeypatch.setattr(datasets, "parse_constraint", counting)
+        counts = {problem.n_actions for problem in
+                  problems_from_records(records, kind)}
+        if kind == "dellma":
+            assert len(counts) == 6
+        # each call builds its own pairs: a cache kept between calls would
+        # parse nothing the second time
+        assert len(parses) == 2 * len(counts)
+        problems = problems_from_records(records, kind)
+        assert len(parses) == 4 * len(counts)
+        monkeypatch.undo()
+        by_count = {}
+        for record, problem in zip(records, problems, strict=True):
+            assert by_count.setdefault(problem.n_actions,
+                                       problem.constraints) \
+                is problem.constraints
+            assert problem.constraints == convert(record).constraints
 
     def test_unknown_kind_rejected(self, mta_records):
         with pytest.raises(ValueError, match="unknown dataset kind 'dellma2'"):

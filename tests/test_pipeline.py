@@ -6,9 +6,13 @@ so the numbers asserted here are frozen by the script, not by chance.
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
+import pickle
 import random
+import shutil
+import signal
 import subprocess
 import sys
 import textwrap
@@ -40,7 +44,12 @@ from decisionflow.errors import (
     ReplayMissError,
     TransportError,
 )
-from decisionflow.gateway import GatewayConfig, LlmGateway, request_digest
+from decisionflow.gateway import (
+    GatewayConfig,
+    LlmGateway,
+    TranscriptStore,
+    request_digest,
+)
 from decisionflow.pipeline import (
     MODES,
     ExperimentContext,
@@ -722,7 +731,16 @@ def scheduled_run(problems, templates, root, seed, mode, c, fault=None,
                           transport)
     ctx = ExperimentContext(PipelineConfig(mode=mode, max_concurrency=c),
                             gateway_, templates)
-    traces = root / "traces"
+    outcome, files = run_writing_traces(problems, ctx, interrupt,
+                                        root / "traces")
+    return outcome, files, (transport.sends, gateway_.live_calls,
+                            gateway_.cache_hits)
+
+
+def run_writing_traces(problems, ctx, interrupt, traces):
+    """Run 2 repeats of ``problems``, writing each trace under ``traces`` as
+    `run` does. Returns the records (wall time zeroed) or the error line,
+    and the trace files by name."""
     traces.mkdir(parents=True)
 
     def write_trace(record):
@@ -735,9 +753,7 @@ def scheduled_run(problems, templates, root, seed, mode, c, fault=None,
         outcome = run_experiment(problems, ctx, 2, interrupt, write_trace)
     except DecisionFlowError as err:
         outcome = f"{type(err).__name__}: {err}"
-    files = {path.name: path.read_bytes() for path in traces.iterdir()}
-    return outcome, files, (transport.sends, gateway_.live_calls,
-                            gateway_.cache_hits)
+    return outcome, {path.name: path.read_bytes() for path in traces.iterdir()}
 
 
 @pytest.fixture(scope="module")
@@ -784,6 +800,124 @@ class TestScheduleAndFaultGuard:
                 assert got == ref
             elif not isinstance(ref, str):  # else got stopped before the fault
                 assert all(record in ref for record in got)
+
+
+def replay_run(problems, templates, store, traces, c, interrupt=None):
+    """Replay 2 repeats of ``problems`` from ``store`` at c, as
+    `run_writing_traces` does."""
+    gateway_ = LlmGateway(GatewayConfig(mode="replay", transcript_dir=store))
+    ctx = ExperimentContext(PipelineConfig(max_concurrency=c), gateway_,
+                            templates)
+    return run_writing_traces(problems, ctx, interrupt, traces)
+
+
+@pytest.fixture(scope="module")
+def recorded_store(tmp_path_factory, templates, scheduled_problems):
+    """A store recorded from ``scheduled_problems``, and the trace files of
+    its fault-free c = 1 replay."""
+    root = tmp_path_factory.mktemp("recorded")
+    gateway_ = LlmGateway(GatewayConfig(mode="record",
+                                        transcript_dir=root / "store"),
+                          ScriptedTransport(fixture_script))
+    run_experiment(scheduled_problems,
+                   ExperimentContext(PipelineConfig(), gateway_, templates), 2)
+    _, files = replay_run(scheduled_problems, templates, root / "store",
+                          root / "traces", 1)
+    assert len(files) == 2 * len(scheduled_problems)
+    return root / "store", files
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+class TestForkedReplayGuard:
+    """Forked replay at any c, over a store with deleted and truncated
+    transcripts, fails as c = 1 does and leaves its trace files; a worker
+    that dies is the error instead; every trace file left is a fault-free
+    replay's, also after an interrupt; and no child is left."""
+
+    @settings(derandomize=True, max_examples=18, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(seed=st.integers(0, 2**32 - 1), c=st.integers(1, 4),
+           deleted=st.integers(0, 2), truncated=st.integers(0, 1),
+           interrupt_at=st.none() | st.integers(1, 12),
+           death=st.none() | st.tuples(st.integers(0, 11),
+                                       st.sampled_from(["exit", "SIGKILL"])))
+    @example(seed=0, c=2, deleted=0, truncated=0, interrupt_at=None,
+             death=(5, "SIGKILL"))
+    # run 0 reads the deleted transcript, and run 1, handed out with it,
+    # kills its worker: the death is the error
+    @example(seed=7, c=4, deleted=1, truncated=0, interrupt_at=None,
+             death=(1, "SIGKILL"))
+    def test_faults_fail_as_at_c1(self, templates, scheduled_problems,
+                                  recorded_store, seed, c, deleted,
+                                  truncated, interrupt_at, death):
+        problems, (recorded, clean) = scheduled_problems, recorded_store
+        names = [f"{problem.problem_id}__r{repeat}.json"
+                 for repeat in range(2) for problem in problems]
+        with TemporaryDirectory() as tmp:
+            store = TranscriptStore(Path(tmp, "store"))
+            shutil.copytree(recorded, store.root)
+            rng = random.Random(seed)
+            damaged = rng.sample(store.digests(), deleted + truncated)
+            for digest in damaged[:deleted]:
+                store.path_for(digest).unlink()
+            for digest in damaged[deleted:]:
+                path = store.path_for(digest)
+                path.write_bytes(path.read_bytes()[:rng.randrange(64)])
+            ref, ref_files = replay_run(problems, templates, store.root,
+                                        Path(tmp, "ref"), 1)
+            interrupt, died = threading.Event(), Path(tmp, "died")
+            with pytest.MonkeyPatch.context() as patch:
+                if interrupt_at is not None:  # once reply k has arrived
+                    patch.setattr(pickle, "loads", loads_then_interrupt(
+                        interrupt, interrupt_at))
+                if death is not None and c > 1:
+                    patch.setattr(pipeline, "execute_run", dies_in_run(
+                        names[death[0]], death[1], died))
+                got, files = replay_run(problems, templates, store.root,
+                                        Path(tmp, "got"), c, interrupt)
+            pid = died.read_text() if died.exists() else None
+        assert ref_files.items() <= clean.items()
+        assert files.items() <= clean.items()
+        if interrupt_at is None:
+            if pid is None:
+                assert got == ref
+                assert set(ref_files) <= set(files)
+            else:
+                status = "exit status 3" if death[1] == "exit" else "SIGKILL"
+                assert got == (f"DecisionFlowError: replay worker {pid} "
+                               f"died: {status}")
+                assert set(ref_files) & set(names[:death[0]]) <= set(files)
+        assert_no_child_left()
+
+
+def loads_then_interrupt(interrupt, k):
+    """`pickle.loads` that sets ``interrupt`` as it loads the k-th reply."""
+    loads, replies = pickle.loads, itertools.count(1)
+
+    def loads_counting(data):
+        if next(replies) == k:
+            interrupt.set()
+        return loads(data)
+
+    return loads_counting
+
+
+def dies_in_run(name, how, died):
+    """`execute_run` whose forked worker, in the run whose trace file is
+    ``name``, writes its pid to ``died`` and then ends by ``os._exit(3)`` or
+    by SIGKILL."""
+    execute, parent = pipeline.execute_run, os.getpid()
+
+    def execute_or_die(problem, ctx, repeat=0):
+        if (f"{problem.problem_id}__r{repeat}.json" == name
+                and os.getpid() != parent):
+            died.write_text(str(os.getpid()), encoding="ascii")
+            if how == "exit":
+                os._exit(3)
+            os.kill(os.getpid(), signal.SIGKILL)
+        return execute(problem, ctx, repeat)
+
+    return execute_or_die
 
 
 def fork_ctx():
