@@ -11,14 +11,13 @@ import math
 import re
 import string
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import InfeasibleError, ShapeError
 
 Grid = tuple[tuple[float, ...], ...]
 
 CARDINALITY_RE = re.compile(r"^\s*x\d+\s*(?:\+\s*x\d+\s*)*<=\s*\d+\s*$")
-BINARY_DOMAIN_RE = re.compile(r"^\s*x\d+\s*(?:,\s*x\d+\s*)*in\s*\{\s*0\s*,\s*1\s*\}\s*$")
 VAR_INDEX_RE = re.compile(r"x(\d+)")
 
 _PUNCT_TABLE = str.maketrans({c: " " for c in string.punctuation})
@@ -61,87 +60,33 @@ def grid_shape(grid: Grid) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class Constraint:
-    """One admissibility restriction over the action variables.
+    """One constraint line: its text, which the prompts show as written, and
+    the 0-based indices of the actions it rules out of the one-hot choice."""
 
-    kind is one of:
-      cardinality   -- sum of the variables in `over` must not exceed `limit`
-      exclusion     -- the single action `action` is inadmissible
-      binary_domain -- variables are 0/1 (always true here; kept for display)
-      opaque        -- unrecognized text, carried along but never enforced
-    """
-
-    kind: str
     source_text: str
-    limit: int | None = None
-    over: frozenset[int] = field(default_factory=frozenset)
-    action: int | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("cardinality", "exclusion", "binary_domain", "opaque"):
-            raise ValueError(f"unknown constraint kind {self.kind!r}")
-        if self.kind == "cardinality":
-            if self.limit is None or self.limit < 0:
-                raise ValueError("cardinality constraint needs a limit >= 0")
-            if any(i < 0 for i in self.over):
-                raise ValueError("cardinality indices must be non-negative")
-        if self.kind == "exclusion" and (self.action is None or self.action < 0):
-            raise ValueError("exclusion constraint needs a non-negative action index")
-
-    @property
-    def excludes(self) -> frozenset[int]:
-        """The actions this constraint rules out of a one-hot choice: a
-        cardinality limit >= 1 is vacuous for one, and binary_domain and
-        opaque constraints are never enforced."""
-        if self.kind == "exclusion":
-            return frozenset((self.action,))
-        if self.kind == "cardinality" and self.limit == 0:
-            return self.over
-        return frozenset()
-
-    @classmethod
-    def cardinality(cls, limit: int, over, source_text: str = "") -> "Constraint":
-        over = frozenset(over)
-        if not source_text:
-            terms = " + ".join(f"x{i + 1}" for i in sorted(over))
-            source_text = f"{terms} <= {limit}"
-        return cls(kind="cardinality", source_text=source_text, limit=limit, over=over)
-
-    @classmethod
-    def exclusion(cls, action: int, source_text: str = "") -> "Constraint":
-        return cls(
-            kind="exclusion",
-            source_text=source_text or f"x{action + 1} excluded",
-            action=action,
-        )
-
-    @classmethod
-    def binary_domain(cls, source_text: str = "") -> "Constraint":
-        return cls(kind="binary_domain", source_text=source_text or "x_i in {0,1}")
-
-    @classmethod
-    def opaque(cls, source_text: str) -> "Constraint":
-        return cls(kind="opaque", source_text=source_text)
+    excludes: frozenset[int] = frozenset()
 
 
 def parse_constraint(text: str) -> Constraint:
-    """Parse one constraint line; never raises, unrecognized text becomes opaque.
+    """Read one constraint line; never raises.
 
-    Recognized forms (variables are 1-based in text, 0-based internally):
-      ``x1 + x2 <= 1``      -> cardinality over {0, 1} with limit 1
-      ``x1, x2 in {0, 1}``  -> binary_domain marker
+    Only a cardinality line with limit 0 rules actions out: ``x1 + x3 <= 0``
+    excludes {0, 2} (variables are 1-based in text, 0-based here). Every
+    other line rules nothing out: a limit of 1 or more is vacuous for a
+    one-hot choice, and so are ``x1, x2 in {0, 1}``, prose, a line naming
+    ``x0`` and a number that int() refuses.
     """
+    text = text.strip()
     if CARDINALITY_RE.match(text):
         lhs, rhs = text.split("<=")
-        try:  # x0 names no variable, and int() refuses over 4300 digits
-            over = frozenset(int(tok) - 1 for tok in VAR_INDEX_RE.findall(lhs))
-            return Constraint(
-                kind="cardinality", source_text=text.strip(), limit=int(rhs), over=over
-            )
+        try:  # int() refuses a number of more than 4300 digits
+            if int(rhs) == 0:
+                indices = [int(tok) for tok in VAR_INDEX_RE.findall(lhs)]
+                if 0 not in indices:  # x0 names no variable
+                    return Constraint(text, frozenset(i - 1 for i in indices))
         except ValueError:
             pass
-    if BINARY_DOMAIN_RE.match(text):
-        return Constraint(kind="binary_domain", source_text=text.strip())
-    return Constraint(kind="opaque", source_text=text.strip())
+    return Constraint(text)
 
 
 @dataclass(frozen=True)
@@ -153,7 +98,6 @@ class DecisionProblem:
     actions: tuple[str, ...]
     constraints: tuple[Constraint, ...] = ()
     bias_directive: str | None = None
-    gold: int | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "actions", tuple(self.actions))
@@ -164,8 +108,6 @@ class DecisionProblem:
             raise ValueError("action labels must be non-empty")
         if len(set(self.actions)) != len(self.actions):
             raise ValueError("action labels must be distinct")
-        if self.gold is not None and not 0 <= self.gold < len(self.actions):
-            raise ValueError(f"gold index {self.gold} out of range for {len(self.actions)} actions")
 
     @property
     def n_actions(self) -> int:

@@ -395,7 +395,6 @@ def mta_problem(record: MtaRecord,
         actions=record.choices,
         constraints=one_hot(len(record.choices)),
         bias_directive=record.bias_text,
-        gold=record.gold,
     )
 
 
@@ -407,7 +406,6 @@ def dellma_problem(record: DellmaRecord,
         actions=record.actions,
         constraints=one_hot(len(record.actions)),
         bias_directive=None,
-        gold=record.gold,
     )
 
 

@@ -337,7 +337,7 @@ def attribute_codes(attributes) -> list[str]:
     for j, name in enumerate(attributes):
         words = [w for w in name.replace("-", " ").split() if w]
         code = "".join(w[0].upper() for w in words) or f"A{j + 1}"
-        if code in codes:
+        while code in codes:
             code = f"{code}{j + 1}"
         codes.append(code)
     return codes

@@ -323,12 +323,15 @@ def parse_extraction(text: str, actions) -> list[str]:
 
 
 def _match_canonical(name: str, canon_actions: list[str]) -> int | None:
-    """Resolve a variable name to an action index by normalized substring,
-    against action labels already canonicalised, so that a parser
-    canonicalises its labels once rather than once per entry."""
+    """Resolve a variable name to an action index: the label it equals once
+    normalized, else the first label it contains or is contained in. The
+    labels come canonicalised, so that a parser canonicalises them once
+    rather than once per entry."""
     canon = canonical_name(name)
     if not canon:
         return None
+    if canon in canon_actions:
+        return canon_actions.index(canon)
     for i, canon_label in enumerate(canon_actions):
         if canon in canon_label or canon_label in canon:
             return i

@@ -2,6 +2,7 @@
 
 import math
 import random
+from dataclasses import fields
 
 import pytest
 
@@ -35,12 +36,13 @@ def pairwise_sum(values):
     return pairwise_sum(vals[:mid]) + pairwise_sum(vals[mid:])
 
 
-def oracle_solve(relevance, weights, policy, constraints, n):
+def oracle_solve(relevance, weights, policy, excluded, n):
     """Exhaustive enumeration over feasible one-hot assignments.
 
-    Re-derives the kept-entry set and feasible set with its own loops, then
-    scans candidates in ascending index order keeping strict improvements,
-    which reproduces the lowest-index tie-break.
+    Re-derives the kept-entry set with its own loops, takes the excluded
+    actions as drawn rather than from the constraints, then scans candidates
+    in ascending index order keeping strict improvements, which reproduces
+    the lowest-index tie-break.
     """
     m = len(weights[0]) if weights else 0
     keep = [[False] * m for _ in range(n)]
@@ -61,13 +63,6 @@ def oracle_solve(relevance, weights, policy, constraints, n):
     else:
         keep = [[True] * m for _ in range(n)]
 
-    excluded = set()
-    for c in constraints:
-        if c.kind == "exclusion":
-            excluded.add(c.action)
-        elif c.kind == "cardinality" and c.limit == 0:
-            excluded |= set(c.over)
-
     best_i = None
     best_u = None
     for i in range(n):
@@ -79,6 +74,23 @@ def oracle_solve(relevance, weights, policy, constraints, n):
         if best_i is None or u > best_u:
             best_i, best_u = i, u
     return best_i, best_u
+
+
+def constraint_lines(excluded, n, rng):
+    """Constraint text that rules out exactly `excluded` of n actions: a
+    `<= 0` line for each excluded action or pair of them, shuffled in with
+    the vacuous `<= 1` and domain lines."""
+    variables = [f"x{i + 1}" for i in range(n)]
+    lines = [" + ".join(variables) + " <= 1", ", ".join(variables) + " in {0, 1}"]
+    order = sorted(excluded)
+    rng.shuffle(order)
+    while order:
+        group = [order.pop()]
+        if order and rng.random() < 0.5:
+            group.append(order.pop())
+        lines.append(" + ".join(f"x{i + 1}" for i in group) + " <= 0")
+    rng.shuffle(lines)
+    return lines
 
 
 def random_instance(rng):
@@ -93,14 +105,11 @@ def random_instance(rng):
         policy = FilterPolicy.top_k(rng.randint(1, 10))
     else:
         policy = FilterPolicy.none()
-    constraints = [Constraint.binary_domain()]
     # leave at least one action feasible
-    for i in rng.sample(range(n), rng.randint(0, n - 1)):
-        if rng.random() < 0.5:
-            constraints.append(Constraint.exclusion(i))
-        else:
-            constraints.append(Constraint.cardinality(0, {i}))
-    return relevance, weights, policy, constraints, n
+    excluded = set(rng.sample(range(n), rng.randint(0, n - 1)))
+    constraints = [parse_constraint(line)
+                   for line in constraint_lines(excluded, n, rng)]
+    return relevance, weights, policy, constraints, excluded, n
 
 
 class TestSparsify:
@@ -162,10 +171,10 @@ class TestMaskAndUtilities:
 
 class TestFeasibility:
     def test_exclusion_removes_action(self):
-        assert feasible_actions([Constraint.exclusion(1)], 3) == {0, 2}
+        assert feasible_actions([parse_constraint("x2 <= 0")], 3) == {0, 2}
 
     def test_zero_limit_cardinality_excludes_its_set(self):
-        c = Constraint.cardinality(0, {0, 1})
+        c = parse_constraint("x1 + x2 <= 0")
         assert feasible_actions([c], 3) == {2}
 
     def test_positive_cardinality_is_vacuous(self):
@@ -173,7 +182,8 @@ class TestFeasibility:
         assert feasible_actions([c], 2) == {0, 1}
 
     def test_markers_are_noops(self):
-        cs = [Constraint.binary_domain(), Constraint.opaque("the patient must consent")]
+        cs = [parse_constraint("x1, x2 in {0, 1}"),
+              parse_constraint("the patient must consent")]
         assert feasible_actions(cs, 2) == {0, 1}
 
     def test_empty_constraints_everything_feasible(self):
@@ -195,44 +205,50 @@ class TestSelect:
             select_action([1.0, 2.0], frozenset())
 
 
+def read_constraint(text):
+    c = parse_constraint(text)
+    return c.source_text, c.excludes
+
+
 class TestParseConstraint:
+    """Text in, (source_text, excludes) out: only a `<= 0` line rules
+    actions out, and every line keeps its text."""
+
+    def test_constraint_is_its_text_and_what_it_rules_out(self):
+        assert [f.name for f in fields(Constraint)] == ["source_text", "excludes"]
+
     def test_pairwise_cardinality(self):
-        c = parse_constraint("x1 + x2 <= 1")
-        assert c.kind == "cardinality"
-        assert c.limit == 1
-        assert c.over == {0, 1}
+        assert read_constraint("x1 + x2 <= 1") == ("x1 + x2 <= 1", set())
 
     def test_single_variable_zero_limit(self):
-        c = parse_constraint("x3 <= 0")
-        assert c.kind == "cardinality"
-        assert c.limit == 0
-        assert c.over == {2}
+        assert read_constraint("x3 <= 0") == ("x3 <= 0", {2})
+        assert read_constraint("x1 + x3 + x1 <= 00") == ("x1 + x3 + x1 <= 00", {0, 2})
 
     def test_binary_domain(self):
-        c = parse_constraint("x1, x2 in {0, 1}")
-        assert c.kind == "binary_domain"
+        assert read_constraint("x1, x2 in {0, 1}") == ("x1, x2 in {0, 1}", set())
 
     def test_unrecognized_text_is_opaque_not_an_error(self):
-        c = parse_constraint("allocate the ventilator fairly")
-        assert c.kind == "opaque"
-        assert c.source_text == "allocate the ventilator fairly"
+        assert read_constraint("allocate the ventilator fairly") == (
+            "allocate the ventilator fairly", set())
 
     @pytest.mark.parametrize("text", ["x0 <= 1", "x1 + x0 <= 1",
                                       "x1 <= " + "9" * 5000,
-                                      "x" + "9" * 5000 + " <= 1"],
-                             ids=["x0", "x1+x0", "long_limit", "long_index"])
+                                      "x" + "9" * 5000 + " <= 1",
+                                      "x0 <= 0", "x1 + x0 <= 0",
+                                      "x1 <= " + "0" * 5000,
+                                      "x" + "9" * 5000 + " <= 0"],
+                             ids=["x0", "x1+x0", "long_limit", "long_index",
+                                  "x0_limit_0", "x1+x0_limit_0",
+                                  "long_limit_0", "long_index_limit_0"])
     def test_unreadable_cardinality_is_opaque_not_an_error(self, text):
         # the text is 1-based, so x0 names no variable; int() refuses a
         # number of more than 4300 digits
-        c = parse_constraint(text)
-        assert c.kind == "opaque"
-        assert c.source_text == text
+        assert read_constraint(text) == (text, set())
 
     def test_source_text_round_trip(self):
-        text = "x1 + x2 + x5 <= 2"
-        c = parse_constraint(text)
-        assert c.source_text == text
-        assert c.over == {0, 1, 4}
+        assert read_constraint("  x1 + x2 + x5 <= 0 ") == (
+            "x1 + x2 + x5 <= 0", {0, 1, 4})
+        assert read_constraint("x1 + x2 + x5 <= 2\n") == ("x1 + x2 + x5 <= 2", set())
 
 
 class TestSolveSymbolic:
@@ -253,9 +269,9 @@ class TestSolveSymbolic:
     def test_matches_enumeration_oracle_on_random_instances(self):
         rng = random.Random(7)
         for _ in range(200):
-            relevance, weights, policy, constraints, n = random_instance(rng)
+            relevance, weights, policy, constraints, excluded, n = random_instance(rng)
             sol = solve_symbolic(relevance, WeightMatrix(weights), policy, constraints)
-            want_i, want_u = oracle_solve(relevance, weights, policy, constraints, n)
+            want_i, want_u = oracle_solve(relevance, weights, policy, excluded, n)
             assert sol.answer == want_i
             assert sol.utilities[want_i] == want_u
 
@@ -265,7 +281,7 @@ class TestSolveSymbolic:
                 [[1.0], [1.0]],
                 WeightMatrix([[1.0], [1.0]]),
                 FilterPolicy.none(),
-                [Constraint.exclusion(0), Constraint.exclusion(1)],
+                [parse_constraint("x1 + x2 <= 0")],
             )
 
 
@@ -312,10 +328,6 @@ class TestTypes:
             DecisionProblem("p", "scenario", ("only one",))
         with pytest.raises(ValueError):
             DecisionProblem("p", "scenario", ("same", "same"))
-
-    def test_problem_gold_in_range(self):
-        with pytest.raises(ValueError):
-            DecisionProblem("p", "s", ("a", "b"), gold=5)
 
     def test_attribute_table_mentioned(self):
         table = AttributeTable(

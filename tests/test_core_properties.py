@@ -9,17 +9,17 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from decisionflow.core import (
-    Constraint,
     FilteredMatrix,
     FilterPolicy,
     WeightMatrix,
     apply_mask,
-    feasible_actions,
+    parse_constraint,
     row_utilities,
     select_action,
     solve_symbolic,
     sparsify_weights,
 )
+from test_core import constraint_lines
 
 dyadic = st.integers(min_value=0, max_value=64).map(lambda k: k / 64)
 signed_dyadic = st.integers(min_value=-64, max_value=64).map(lambda k: k / 64)
@@ -108,8 +108,9 @@ def test_selected_action_is_always_feasible(grid, data):
     excluded = data.draw(
         st.sets(st.integers(0, n - 1), min_size=0, max_size=n - 1)
     )
-    constraints = [Constraint.exclusion(i) for i in sorted(excluded)]
+    lines = constraint_lines(excluded, n, data.draw(st.randoms(use_true_random=False)))
+    constraints = [parse_constraint(line) for line in lines]
     sol = solve_symbolic(grid, WeightMatrix(grid), data.draw(policies()), constraints)
-    feasible = feasible_actions(constraints, n)
+    feasible = frozenset(range(n)) - excluded
     assert sol.answer in feasible
     assert sol.feasible == feasible

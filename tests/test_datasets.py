@@ -464,9 +464,8 @@ class TestProblemConversion:
         )
         problem = mta_problem(record)
         assert problem.bias_directive == "directive"
-        assert problem.gold == 1
-        kinds = [c.kind for c in problem.constraints]
-        assert kinds == ["cardinality", "binary_domain"]
+        assert [(c.source_text, c.excludes) for c in problem.constraints] == [
+            ("x1 + x2 <= 1", set()), ("x1, x2 in {0, 1}", set())]
         assert feasible_actions(problem.constraints, 2) == {0, 1}
 
     def test_dellma_record_has_no_bias_directive(self):

@@ -31,10 +31,10 @@ from hypothesis import strategies as st
 from conftest import CORPUS_DIR, REPO_ROOT
 from decisionflow import gateway, pipeline
 from decisionflow.core import (
-    Constraint,
     DecisionProblem,
     FilterPolicy,
     feasible_actions,
+    parse_constraint,
 )
 from decisionflow.datasets import write_json
 from decisionflow.errors import (
@@ -234,11 +234,11 @@ class TestStructuredRun:
         )
         winner = run_problem(free, ctx).answer
         if kind == "exclusion":
-            ruling = Constraint.exclusion(winner, "the first choice is banned")
+            ruling = parse_constraint(f"x{winner + 1} <= 0")
         else:
-            ruling = Constraint.cardinality(0, {winner, (winner + 1) % 3},
-                                            "two choices are banned")
-        slack = Constraint.cardinality(1, range(3))  # rules nothing out
+            ruling = parse_constraint(
+                f"x{winner + 1} + x{(winner + 1) % 3 + 1} <= 0")
+        slack = parse_constraint("x1 + x2 + x3 <= 1")  # rules nothing out
         problem = replace(free, problem_id=kind, constraints=(slack, ruling))
         outcome = run_problem(problem, ctx)
         assert outcome.answer != winner
@@ -1055,6 +1055,8 @@ class TestHelpers:
         assert attribute_codes(("Medical condition", "Survival probability")) \
             == ["MC", "SP"]
         assert attribute_codes(("Risk", "Reward")) == ["R", "R2"]
+        # "Risk" would take "R3" again; the suffix goes on until it is new
+        assert attribute_codes(("R 3", "Rate", "Risk")) == ["R3", "R", "R33"]
         assert attribute_codes(("Yield",)) == ["Y"]
 
     def test_render_objective_empty_support(self, degenerate_problem):

@@ -252,6 +252,15 @@ class TestLabelsCanonicalisedOncePerParse:
         assert calls <= 2 * len(scores) + n
 
 
+def test_grounding_exact_label_wins_over_an_earlier_substring():
+    table = AttributeTable(actions=("Buy X", "Buy XY"), attributes=("Cost",),
+                           cells=(("low",), ("high",)))
+    text = json.dumps({"Scores": [
+        {"Variable": "Buy XY", "Attribute": "Cost", "Score": 0.9},
+        {"Variable": "buy x", "Attribute": "Cost", "Score": 0.2}]})
+    assert parse_grounding(text, table, [(0, 0), (1, 0)]) == ((0.2,), (0.9,))
+
+
 class TestAttributeTableShape:
     def test_union_fills_not_mentioned(self):
         text = (
@@ -275,6 +284,16 @@ class TestAttributeTableShape:
         table = parse_attribute_table(text, ("alpha", "beta"))
         assert table.attributes == ("Survival-Probability",)
         assert table.shape == (2, 1)
+
+    def test_exact_label_wins_over_an_earlier_substring(self):
+        text = json.dumps({"Variable": [
+            {"Variable": name, "Attribute": [{"Attribute": "Cost", "Value": name}]}
+            for name in ("buy xy", "Buy X")]})
+        table = parse_attribute_table(text, ("Buy X", "Buy XY"))
+        assert table.cells == (("Buy X",), ("buy xy",))
+        # a name equal to no label takes the first substring match
+        table = parse_attribute_table(text, ("Buy X", "Buy XYZ"))
+        assert table.cells == (("buy xy",), (NOT_MENTIONED,))
 
     def test_payload_round_trip(self):
         payload, repairs = parse_json_payload('```json\n{"Weight": 0.4,}\n```')
