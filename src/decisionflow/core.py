@@ -21,6 +21,8 @@ CARDINALITY_RE = re.compile(r"^\s*x\d+\s*(?:\+\s*x\d+\s*)*<=\s*\d+\s*$")
 VAR_INDEX_RE = re.compile(r"x(\d+)")
 
 _PUNCT_TABLE = str.maketrans({c: " " for c in string.punctuation})
+# the casefold path's fold of each ASCII byte, padded to bytes.translate's 256
+_ASCII_FOLD = bytes(range(128)).decode().casefold().translate(_PUNCT_TABLE).encode().ljust(256)
 
 
 def canonical_name(text: str) -> str:
@@ -28,7 +30,8 @@ def canonical_name(text: str) -> str:
 
     Used wherever attribute or variable names are compared.
     """
-    folded = text.casefold().translate(_PUNCT_TABLE)
+    folded = (text.encode().translate(_ASCII_FOLD).decode() if text.isascii()
+              else text.casefold().translate(_PUNCT_TABLE))
     return " ".join(folded.split())
 
 
@@ -100,13 +103,21 @@ class DecisionProblem:
     bias_directive: str | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "actions", tuple(self.actions))
-        object.__setattr__(self, "constraints", tuple(self.constraints))
-        if len(self.actions) < 2:
+        if type(self.actions) is not tuple:  # a tuple is kept as it is
+            if isinstance(self.actions, str):
+                raise ValueError("actions must be a sequence of labels, not a string")
+            object.__setattr__(self, "actions", tuple(self.actions))
+        if type(self.constraints) is not tuple:
+            object.__setattr__(self, "constraints", tuple(self.constraints))
+        actions = self.actions
+        if len(actions) < 2:
             raise ValueError("a decision problem needs at least two actions")
-        if any(not a.strip() for a in self.actions):
-            raise ValueError("action labels must be non-empty")
-        if len(set(self.actions)) != len(self.actions):
+        try:
+            if not all(map(str.strip, actions)):
+                raise ValueError("action labels must be non-empty")
+        except TypeError:  # str.strip of a label that is not a string
+            raise ValueError("action labels must be strings") from None
+        if len(set(actions)) != len(actions):
             raise ValueError("action labels must be distinct")
 
     @property

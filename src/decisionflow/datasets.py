@@ -18,6 +18,7 @@ project moves to 3.13.
 
 from __future__ import annotations
 
+import io
 import json
 import os
 import threading
@@ -83,114 +84,130 @@ class PredictionRow:
     answer: int | None  # None means abstained
 
 
-def _field(obj: dict, name: str, types, line: int, *, required=True):
-    if name not in obj:
-        if required:
-            raise DatasetError("missing field", line=line, field=name)
-        return None
-    value = obj[name]
-    if isinstance(value, bool) or not isinstance(value, types):
-        raise DatasetError(
-            f"field has type {type(value).__name__}", line=line, field=name
-        )
-    return value
+_MISSING = object()
+_scan = json.JSONDecoder().scan_once
 
 
-def _string_list(obj: dict, name: str, line: int, *, min_len=1) -> tuple[str, ...]:
-    value = _field(obj, name, list, line)
-    if len(value) < min_len or any(
-        not isinstance(v, str) or not v.strip() for v in value
-    ):
-        raise DatasetError(
-            f"must be a list of at least {min_len} non-empty strings",
-            line=line, field=name,
-        )
-    for i, label in enumerate(value):
-        if label in value[:i]:
-            raise DatasetError(f"repeats the label {label!r}",
-                               line=line, field=name)
-    return tuple(value)
+def _read(obj: dict, table) -> dict:
+    """Record field -> value of the keys ``table`` names, each read and
+    checked once, in table order, arrays as tuples. A row ``(field, key,
+    type, fault)`` requires the key and its exact type (JSON gives no
+    subclass, so a bool is not an int); then ``fault(value, values)``, given
+    the values read before it, gives the text of the value's fault or None."""
+    values = {}
+    for field, key, kind, fault in table:
+        value = obj.get(key, _MISSING)
+        if type(value) is not kind:
+            raise DatasetError("missing field" if value is _MISSING else
+                               f"field has type {type(value).__name__}", field=key)
+        if fault is not None and (message := fault(value, values)):
+            raise DatasetError(message, field=key)
+        values[field] = tuple(value) if kind is list else value
+    return values
 
 
-def _parse_mta(obj: dict, line: int) -> MtaRecord:
-    record_id = _field(obj, "id", str, line)
-    scenario = _field(obj, "scenario", str, line)
-    choices = _string_list(obj, "choices", line, min_len=2)
-    dma = _field(obj, "dma", str, line)
-    if dma not in DMA_VALUES:
-        raise DatasetError(f"unknown dma {dma!r}", line=line, field="dma")
-    alignment = _field(obj, "alignment", str, line)
-    if alignment not in ALIGNMENTS:
-        raise DatasetError(
-            f"alignment must be one of {ALIGNMENTS}", line=line, field="alignment"
-        )
-    bias_text = _field(obj, "bias_text", str, line)
-    if not bias_text.strip():
-        raise DatasetError("bias_text must be non-empty", line=line, field="bias_text")
-    gold = _field(obj, "gold", int, line)
-    if not 0 <= gold < len(choices):
-        raise DatasetError(
-            f"gold {gold} out of range for {len(choices)} choices",
-            line=line, field="gold",
-        )
-    if not scenario.strip():
-        raise DatasetError("scenario must be non-empty", line=line, field="scenario")
-    return MtaRecord(
-        record_id=record_id, scenario=scenario, choices=choices, dma=dma,
-        alignment=alignment, bias_text=bias_text, gold=gold,
-    )
+def _record(cls, values: dict):
+    """``cls(**values)`` made as pickle makes it, with values as its __dict__:
+    a frozen __init__ sets each field with object.__setattr__, at 3x the cost."""
+    record = object.__new__(cls)
+    object.__setattr__(record, "__dict__", values)
+    return record
 
 
-def _parse_dellma(obj: dict, line: int) -> DellmaRecord:
-    record_id = _field(obj, "id", str, line)
-    domain = _field(obj, "domain", str, line)
-    if domain not in DELLMA_DOMAINS:
-        raise DatasetError(
-            f"domain must be one of {DELLMA_DOMAINS}", line=line, field="domain"
-        )
-    context = _field(obj, "context", str, line)
-    if not context.strip():
-        raise DatasetError("context must be non-empty", line=line, field="context")
-    actions = _string_list(obj, "actions", line, min_len=2)
-    if len(actions) > 7:
-        raise DatasetError(
-            f"{len(actions)} actions exceeds the supported maximum of 7",
-            line=line, field="actions",
-        )
-    gold = _field(obj, "gold", int, line)
-    if not 0 <= gold < len(actions):
-        raise DatasetError(
-            f"gold {gold} out of range for {len(actions)} actions",
-            line=line, field="gold",
-        )
-    return DellmaRecord(
-        record_id=record_id, domain=domain, context=context,
-        actions=actions, gold=gold,
-    )
+def _label_fault(labels: list, values=None) -> str | None:
+    """Two or more non-blank strings, none repeated: the first repeat is named."""
+    try:
+        blank = len(labels) < 2 or not all(map(str.strip, labels))
+    except TypeError:  # str.strip of a label that is not a string
+        blank = True
+    if blank:
+        return "must be a list of at least 2 non-empty strings"
+    if len(set(labels)) < len(labels):
+        repeat = next(label for i, label in enumerate(labels) if label in labels[:i])
+        return f"repeats the label {repeat!r}"
+    return None
+
+
+def _gold_fault(labels: str):
+    """gold indexes the labels of the field ``labels``."""
+    return lambda gold, values: (
+        f"gold {gold} out of range for {len(values[labels])} {labels}"
+        if not 0 <= gold < len(values[labels]) else None)
+
+
+# one row per field, in the order of the record's fields and of the checks
+_MTA_FIELDS = (
+    ("record_id", "id", str, None),
+    ("scenario", "scenario", str, None),  # its text is checked after the others
+    ("choices", "choices", list, _label_fault),
+    ("dma", "dma", str, lambda dma, _: f"unknown dma {dma!r}" if dma not in DMA_VALUES else None),
+    ("alignment", "alignment", str, lambda alignment, _:
+     f"alignment must be one of {ALIGNMENTS}" if alignment not in ALIGNMENTS else None),
+    ("bias_text", "bias_text", str, lambda text, _: "bias_text must be non-empty"
+     if not text.strip() else None),
+    ("gold", "gold", int, _gold_fault("choices")),
+)
+_DELLMA_FIELDS = (
+    ("record_id", "id", str, None),
+    ("domain", "domain", str, lambda domain, _: f"domain must be one of {DELLMA_DOMAINS}"
+     if domain not in DELLMA_DOMAINS else None),
+    ("context", "context", str, lambda text, _: "context must be non-empty"
+     if not text.strip() else None),
+    ("actions", "actions", list, lambda labels, _: _label_fault(labels) or (
+        f"{len(labels)} actions exceeds the supported maximum of 7"
+        if len(labels) > 7 else None)),
+    ("gold", "gold", int, _gold_fault("actions")),
+)
+_PREDICTION_FIELDS = (
+    ("record_id", "id", str, None),
+    ("mode", "mode", str, None),
+    ("repeat", "repeat", int, lambda repeat, _: "repeat must be >= 0" if repeat < 0 else None),
+)
+
+
+def _parse_mta(obj: dict) -> MtaRecord:
+    record = _record(MtaRecord, _read(obj, _MTA_FIELDS))
+    if not record.scenario.strip():
+        raise DatasetError("scenario must be non-empty", field="scenario")
+    return record
+
+
+def _parse_dellma(obj: dict) -> DellmaRecord:
+    return _record(DellmaRecord, _read(obj, _DELLMA_FIELDS))
 
 
 def _load(path: str | Path, parse) -> list:
     """``parse(obj, line)`` of each record of the JSONL file at ``path``; a
-    DatasetError raised on the way names ``path``."""
+    DatasetError raised on the way names ``path`` and the line."""
     rows = []
-    try:
-        # bytes.splitlines ends lines where text mode does: \n, \r\n or \r
-        for line_no, raw in enumerate(Path(path).read_bytes().splitlines(),
-                                      start=1):
+    data = Path(path).read_bytes()
+    if b"\r" in data:  # end lines where text mode does: at \n, \r\n or \r
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    try:  # BytesIO finds each \n with memchr; bytes.splitlines tests each byte
+        for line_no, raw in enumerate(io.BytesIO(data), start=1):
             try:
-                text = raw.decode("utf-8")
+                text = raw.rstrip(b"\n").decode("utf-8")
                 if not text.strip():
                     continue
-                obj = json.loads(text)
+                text = text.lstrip(" \t")  # json.loads(text) and its errors
+                try:
+                    obj, end = _scan(text, 0)
+                except StopIteration as err:  # no value starts at err.value
+                    raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)"
+                                               if raw.startswith(b"\xef\xbb\xbf") else
+                                               "Expecting value", text, err.value) from None
+                if end < len(text) and text[end:].strip(" \t"):
+                    raise json.JSONDecodeError("Extra data", text, end)
             except UnicodeDecodeError as err:
-                raise DatasetError(f"not UTF-8: {err}", line=line_no) from err
+                raise DatasetError(f"not UTF-8: {err}") from err
             except json.JSONDecodeError as err:
-                raise DatasetError(f"invalid JSON: {err.msg}", line=line_no) from err
-            if not isinstance(obj, dict):
-                raise DatasetError("record is not a JSON object", line=line_no)
+                raise DatasetError(f"invalid JSON: {err.msg}") from err
+            if type(obj) is not dict:
+                raise DatasetError("record is not a JSON object")
             rows.append(parse(obj, line_no))
     except DatasetError as err:
         err.path = os.fspath(path)
+        err.line = line_no
         raise
     return rows
 
@@ -203,19 +220,17 @@ def load_dataset(path: str | Path, kind: str):
     seen: dict[str, int] = {}
 
     def parse(obj: dict, line_no: int):
-        record = parse_kind(obj, line_no)
+        record = parse_kind(obj)
+        record_id = record.record_id
         # the id names the run's trace files
-        if record.record_id in ("", ".", "..") or any(
-                c in record.record_id for c in "/\\\0"):
-            raise DatasetError(f"id {record.record_id!r} is not a plain file name",
-                               line=line_no, field="id")
-        if record.record_id in seen:
-            raise DatasetError(
-                f"duplicate id {record.record_id!r} (first on line "
-                f"{seen[record.record_id]})",
-                line=line_no, field="id",
-            )
-        seen[record.record_id] = line_no
+        if (record_id in ("", ".", "..") or "/" in record_id
+                or "\\" in record_id or "\0" in record_id):
+            raise DatasetError(f"id {record_id!r} is not a plain file name",
+                               field="id")
+        if record_id in seen:
+            raise DatasetError(f"duplicate id {record_id!r} (first on line "
+                               f"{seen[record_id]})", field="id")
+        seen[record_id] = line_no
         return record
 
     return _load(path, parse)
@@ -347,27 +362,23 @@ def write_records(records, path: str | Path) -> None:
     write_text("".join(dumps_record(record) + "\n" for record in records), path)
 
 
-def _parse_prediction(obj: dict, line: int) -> PredictionRow:
-    record_id = _field(obj, "id", str, line)
-    mode = _field(obj, "mode", str, line)
-    repeat = _field(obj, "repeat", int, line)
-    if repeat < 0:
-        raise DatasetError("repeat must be >= 0", line=line, field="repeat")
+def _parse_prediction(obj: dict) -> PredictionRow:
+    values = _read(obj, _PREDICTION_FIELDS)
     answer = obj.get("answer")
     if answer == ABSTAIN:
         answer = None
-    elif isinstance(answer, bool) or not isinstance(answer, int):
+    elif type(answer) is not int:
         raise DatasetError(
             "answer must be an integer index or the abstain marker",
-            line=line, field="answer",
+            field="answer",
         )
     elif answer < 0:
-        raise DatasetError("answer must be >= 0", line=line, field="answer")
-    return PredictionRow(record_id=record_id, mode=mode, repeat=repeat, answer=answer)
+        raise DatasetError("answer must be >= 0", field="answer")
+    return PredictionRow(**values, answer=answer)
 
 
 def load_predictions(path: str | Path) -> list[PredictionRow]:
-    return _load(path, _parse_prediction)
+    return _load(path, lambda obj, line_no: _parse_prediction(obj))
 
 
 def write_predictions(rows, path: str | Path) -> None:
@@ -389,24 +400,15 @@ def mta_problem(record: MtaRecord,
                 one_hot=_one_hot_constraints) -> DecisionProblem:
     """View an MTA record as a decision problem with standard one-hot
     constraints, ``one_hot(n)`` for n actions."""
-    return DecisionProblem(
-        problem_id=record.record_id,
-        scenario=record.scenario,
-        actions=record.choices,
-        constraints=one_hot(len(record.choices)),
-        bias_directive=record.bias_text,
-    )
+    # positional: a keyword call costs a fifth more
+    return DecisionProblem(record.record_id, record.scenario, record.choices,
+                           one_hot(len(record.choices)), record.bias_text)
 
 
 def dellma_problem(record: DellmaRecord,
                    one_hot=_one_hot_constraints) -> DecisionProblem:
-    return DecisionProblem(
-        problem_id=record.record_id,
-        scenario=record.context,
-        actions=record.actions,
-        constraints=one_hot(len(record.actions)),
-        bias_directive=None,
-    )
+    return DecisionProblem(record.record_id, record.context, record.actions,
+                           one_hot(len(record.actions)))
 
 
 def problems_from_records(records, kind: str):

@@ -78,10 +78,12 @@ def load_templates(directory: str | Path | None = None) -> dict[str, StageTempla
     templates = {}
     for stage in STAGES:
         path = root.joinpath(f"{stage}.txt")
-        if not path.is_file():
-            raise TemplateError(f"no template file for stage '{stage}' at {path}")
-        templates[stage] = StageTemplate(stage=stage,
-                                         body=path.read_text(encoding="utf-8"))
+        try:  # one read, with read_text's newlines but not its text-mode file
+            body = path.read_bytes().decode("utf-8")
+        except (FileNotFoundError, IsADirectoryError, NotADirectoryError):
+            raise TemplateError(f"no template file for stage '{stage}' at {path}") from None
+        body = body.replace("\r\n", "\n").replace("\r", "\n")
+        templates[stage] = StageTemplate(stage=stage, body=body)
     return templates
 
 

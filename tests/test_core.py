@@ -2,9 +2,12 @@
 
 import math
 import random
+import string
 from dataclasses import fields
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from decisionflow.core import (
     AttributeTable,
@@ -329,6 +332,17 @@ class TestTypes:
         with pytest.raises(ValueError):
             DecisionProblem("p", "scenario", ("same", "same"))
 
+    @pytest.mark.parametrize("actions,rule", [
+        ("ab", "a sequence of labels, not a string"),
+        ("", "a sequence of labels, not a string"),
+        ((1, 2), "labels must be strings"),
+        (["a", None], "labels must be strings"),
+        ((b"a", b"b"), "labels must be strings"),
+    ])
+    def test_problem_actions_are_label_strings(self, actions, rule):
+        with pytest.raises(ValueError, match=rule):
+            DecisionProblem("p", "scenario", actions)
+
     def test_attribute_table_mentioned(self):
         table = AttributeTable(
             actions=("a", "b"),
@@ -350,3 +364,23 @@ class TestTypes:
     def test_canonical_name_folds_case_punctuation_whitespace(self):
         assert canonical_name("  Survival-Probability ") == "survival probability"
         assert canonical_name("SURVIVAL   PROBABILITY") == "survival probability"
+
+
+# canonical_name as first written, before its ASCII path: the oracle
+_PUNCT_TO_SPACE = str.maketrans({c: " " for c in string.punctuation})
+
+
+def canonical_name_oracle(text):
+    return " ".join(text.casefold().translate(_PUNCT_TO_SPACE).split())
+
+
+# every ASCII character, and non-ASCII ones that casefold, split or both
+# differently from their ASCII look-alikes
+CANONICAL_ALPHABET = [chr(i) for i in range(128)] + [
+    "ß", "É", "\xa0", "\x85", "İ", "ﬁ"]
+
+
+@settings(derandomize=True, max_examples=3000, deadline=None)
+@given(st.text(alphabet=st.sampled_from(CANONICAL_ALPHABET), max_size=24))
+def test_canonical_name_matches_its_oracle(text):
+    assert canonical_name(text) == canonical_name_oracle(text)

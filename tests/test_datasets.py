@@ -1,7 +1,9 @@
 """Dataset format tests: loading, validation, round-trips, predictions."""
 
+import dataclasses
 import importlib.util
 import json
+import pickle
 from collections import OrderedDict
 from enum import IntEnum
 from pathlib import Path
@@ -236,6 +238,212 @@ class TestDellmaValidation:
         with pytest.raises(DatasetError) as err:
             load_dataset(path, "dellma")
         assert err.value.field == "domain"
+
+
+def _valid_dellma_line(**overrides):
+    return {"id": "d-x", "domain": "stocks", "context": "Prices rose.",
+            "actions": ["Buy A", "Buy B"], "gold": 0, **overrides}
+
+
+def _valid_prediction_line(**overrides):
+    return {"id": "p-x", "mode": "decisionflow", "repeat": 0, "answer": 1,
+            **overrides}
+
+
+_VALID_LINE = {"mta": _valid_mta_line, "dellma": _valid_dellma_line,
+               "predictions": _valid_prediction_line}
+
+
+def _without(kind, name):
+    obj = _VALID_LINE[kind]()
+    del obj[name]
+    return obj
+
+
+def _line(item) -> bytes:
+    return item if isinstance(item, bytes) else json.dumps(item).encode("utf-8")
+
+
+# (kind, lines, the text of the error with {path} for the file, line, field);
+# a line is raw bytes or an object to dump; a record with two faults pins
+# which one is named
+LOADER_ERRORS = [
+    ("mta", ["\ufeff".encode() + _line(_valid_mta_line())],
+     "invalid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig) in {path} "
+     "(line 1)", 1, None),
+    ("dellma", [b"\x0c" + _line(_valid_dellma_line())],
+     "invalid JSON: Expecting value in {path} (line 1)", 1, None),
+    ("dellma", [b"\x0c", b" \t" + _line(_valid_dellma_line()) + b"\t ", b"[1]"],
+     "record is not a JSON object in {path} (line 3)", 3, None),
+    ("predictions", [_line(_valid_prediction_line()) + b"\x0c"],
+     "invalid JSON: Extra data in {path} (line 1)", 1, None),
+    ("mta", [_line(_valid_mta_line()) + b" {}"],
+     "invalid JSON: Extra data in {path} (line 1)", 1, None),
+    ("dellma", [b'{"id": "d-x\t'],  # a tab ends the line, inside a string
+     "invalid JSON: Invalid control character at in {path} (line 1)", 1, None),
+    ("dellma", [b'{"id": "d-x'],  # the \n that ends the line is not in it
+     "invalid JSON: Unterminated string starting at in {path} (line 1)", 1, None),
+    ("dellma", [b'{"id": "d-x",'],
+     "invalid JSON: Expecting property name enclosed in double quotes in "
+     "{path} (line 1)", 1, None),
+    ("predictions", [b'"p-x"'],
+     "record is not a JSON object in {path} (line 1)", 1, None),
+    ("mta", [b'\n{"id": "caf\xe9"}'],
+     "not UTF-8: 'utf-8' codec can't decode byte 0xe9 in position 11: "
+     "invalid continuation byte in {path} (line 2)", 2, None),
+    ("predictions", [b'{"id": "caf\xc3'],  # cut short by the end of the line
+     "not UTF-8: 'utf-8' codec can't decode byte 0xc3 in position 11: "
+     "unexpected end of data in {path} (line 1)", 1, None),
+    *[(kind, [_without(kind, name)],
+       "missing field in {path} (line 1, field '%s')" % name, 1, name)
+      for kind in ("mta", "dellma", "predictions")
+      for name in _VALID_LINE[kind]() if name != "answer"],
+    ("predictions", [_without("predictions", "answer")],
+     "answer must be an integer index or the abstain marker in {path} "
+     "(line 1, field 'answer')", 1, "answer"),
+    ("mta", [_valid_mta_line(gold=True)],
+     "field has type bool in {path} (line 1, field 'gold')", 1, "gold"),
+    ("dellma", [_valid_dellma_line(gold=False)],
+     "field has type bool in {path} (line 1, field 'gold')", 1, "gold"),
+    ("dellma", [_valid_dellma_line(id=7)],
+     "field has type int in {path} (line 1, field 'id')", 1, "id"),
+    ("predictions", [_valid_prediction_line(repeat=True)],
+     "field has type bool in {path} (line 1, field 'repeat')", 1, "repeat"),
+    ("mta", [_valid_mta_line(choices="Treat A")],
+     "field has type str in {path} (line 1, field 'choices')", 1, "choices"),
+    ("dellma", [_valid_dellma_line(domain="weather")],
+     "domain must be one of ('agriculture', 'stocks') in {path} "
+     "(line 1, field 'domain')", 1, "domain"),
+    ("mta", [_valid_mta_line(dma="bravery")],
+     "unknown dma 'bravery' in {path} (line 1, field 'dma')", 1, "dma"),
+    ("mta", [_valid_mta_line(alignment="mid")],
+     "alignment must be one of ('high', 'low') in {path} "
+     "(line 1, field 'alignment')", 1, "alignment"),
+    ("dellma", [_valid_dellma_line(actions=[f"Buy {i}" for i in range(8)])],
+     "8 actions exceeds the supported maximum of 7 in {path} "
+     "(line 1, field 'actions')", 1, "actions"),
+    *[(kind, [_VALID_LINE[kind](**{field: labels})],
+       "must be a list of at least 2 non-empty strings in {path} "
+       "(line 1, field '%s')" % field, 1, field)
+      for kind, field in (("mta", "choices"), ("dellma", "actions"))
+      for labels in (["Only"], [], ["A", " \t"], ["A", 1], ["A", None])],
+    ("dellma", [_valid_dellma_line(actions=["A", "B", "B", "A"])],
+     "repeats the label 'B' in {path} (line 1, field 'actions')", 1, "actions"),
+    ("mta", [_valid_mta_line(choices=["A", "B", "A", "B"])],
+     "repeats the label 'A' in {path} (line 1, field 'choices')", 1, "choices"),
+    ("mta", [_valid_mta_line(gold=2)],
+     "gold 2 out of range for 2 choices in {path} (line 1, field 'gold')",
+     1, "gold"),
+    ("dellma", [_valid_dellma_line(gold=-1)],
+     "gold -1 out of range for 2 actions in {path} (line 1, field 'gold')",
+     1, "gold"),
+    ("dellma", [_valid_dellma_line(context=" ")],
+     "context must be non-empty in {path} (line 1, field 'context')",
+     1, "context"),
+    ("mta", [_valid_mta_line(bias_text="")],
+     "bias_text must be non-empty in {path} (line 1, field 'bias_text')",
+     1, "bias_text"),
+    ("mta", [_valid_mta_line(scenario="\n")],
+     "scenario must be non-empty in {path} (line 1, field 'scenario')",
+     1, "scenario"),
+    ("predictions", [_valid_prediction_line(repeat=-1)],
+     "repeat must be >= 0 in {path} (line 1, field 'repeat')", 1, "repeat"),
+    ("predictions", [_valid_prediction_line(answer=-1)],
+     "answer must be >= 0 in {path} (line 1, field 'answer')", 1, "answer"),
+    ("predictions", [_valid_prediction_line(answer=1.0)],
+     "answer must be an integer index or the abstain marker in {path} "
+     "(line 1, field 'answer')", 1, "answer"),
+    *[(kind, [_VALID_LINE[kind](id=record_id)],
+       f"id {record_id!r} is not a plain file name in {{path}} "
+       "(line 1, field 'id')", 1, "id")
+      for kind in ("mta", "dellma") for record_id in UNSAFE_IDS],
+    ("dellma", [_valid_dellma_line(), b"", _valid_dellma_line(id="d-y"),
+                _valid_dellma_line(), _valid_dellma_line()],
+     "duplicate id 'd-x' (first on line 1) in {path} (line 4, field 'id')",
+     4, "id"),
+    # two faults in one record
+    ("mta", [_valid_mta_line(scenario="", gold=9)],
+     "gold 9 out of range for 2 choices in {path} (line 1, field 'gold')",
+     1, "gold"),
+    ("mta", [_valid_mta_line(scenario=7, dma="bravery")],
+     "field has type int in {path} (line 1, field 'scenario')", 1, "scenario"),
+    ("dellma", [_valid_dellma_line(domain="weather", gold="first")],
+     "domain must be one of ('agriculture', 'stocks') in {path} "
+     "(line 1, field 'domain')", 1, "domain"),
+    ("dellma", [_without("dellma", "gold") | {"actions": ["A"]}],
+     "must be a list of at least 2 non-empty strings in {path} "
+     "(line 1, field 'actions')", 1, "actions"),
+    ("dellma", [_valid_dellma_line(id="a/b", gold=5)],
+     "gold 5 out of range for 2 actions in {path} (line 1, field 'gold')",
+     1, "gold"),
+    ("predictions", [_valid_prediction_line(mode=None, answer="maybe")],
+     "field has type NoneType in {path} (line 1, field 'mode')", 1, "mode"),
+]
+
+
+@pytest.mark.parametrize(
+    "kind,lines,text,line,field", LOADER_ERRORS,
+    ids=[f"{kind}-{field}-{text.partition(' in {path}')[0][:32]}"
+         for kind, _, text, _, field in LOADER_ERRORS])
+def test_every_loader_error_text(tmp_path, kind, lines, text, line, field):
+    path = tmp_path / "bad.jsonl"
+    path.write_bytes(b"\n".join(map(_line, lines)) + b"\n")
+    with pytest.raises(DatasetError) as err:
+        if kind == "predictions":
+            load_predictions(path)
+        else:
+            load_dataset(path, kind)
+    assert str(err.value) == text.format(path=path)
+    assert (err.value.line, err.value.field, err.value.path) == \
+        (line, field, str(path))
+
+
+@pytest.mark.parametrize("kind", ["mta", "dellma", "predictions"])
+def test_a_loaded_record_is_the_one_its_class_builds(tmp_path, kind):
+    path = tmp_path / "one.jsonl"
+    obj = _VALID_LINE[kind]()
+    path.write_bytes(_line(obj) + b"\n")
+    [record] = load_predictions(path) if kind == "predictions" else load_dataset(path, kind)
+    built = type(record)(**{"record_id" if key == "id" else key:
+                            tuple(value) if type(value) is list else value
+                            for key, value in obj.items()})
+    assert (record, hash(record), repr(record), vars(record)) == \
+        (built, hash(built), repr(built), vars(built))
+    assert pickle.loads(pickle.dumps(record)) == record
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        record.record_id = "other"
+
+
+# a line's text: JSON's characters, JSON and other whitespace, and a BOM,
+# but no \n or \r, which end a line
+_LINE_TEXT = st.text(alphabet=st.sampled_from(
+    list('{}[]":,0123456789.-eEtrufalsn\\ ') +
+    ["\t", "\x0b", "\x0c", "\x85", "\u2028", "\ufeff", "\u00e9"]), max_size=8)
+_JSON_TEXT = st.sampled_from(['{}', '[1]', '"s"', '1', '{"id": "p"}', '{"a": [1, {}]}',
+                             '"s', '{"id": "p', '[1, "'])
+
+
+@settings(derandomize=True, max_examples=2000, deadline=None)
+@given(text=st.one_of(_LINE_TEXT, st.builds("{}{}{}".format,
+                                             _LINE_TEXT, _JSON_TEXT, _LINE_TEXT)))
+def test_a_line_decodes_as_json_loads_decodes_it(tmp_path_factory, text):
+    path = tmp_path_factory.getbasetemp() / "line.jsonl"
+    path.write_bytes(text.encode("utf-8") + b"\n")
+    try:
+        expected = json.loads(text)
+    except json.JSONDecodeError as err:
+        expected = f"invalid JSON: {err.msg}"
+    else:
+        expected = None if type(expected) is dict else "record is not a JSON object"
+    if not text.strip():
+        assert load_predictions(path) == []
+        return
+    with pytest.raises(DatasetError) as err:
+        load_predictions(path)
+    if expected is None:
+        assert err.value.field is not None  # the record's own fault
+    else:
+        assert (err.value.args[0], err.value.field) == (expected, None)
 
 
 class TestPredictions:

@@ -49,6 +49,32 @@ class TestTemplates:
             load_templates(tmp_path)
         assert STAGES[-1] in str(err.value)
 
+    @pytest.mark.parametrize("case", ["missing", "directory", "not_a_directory"])
+    def test_a_template_that_cannot_be_read_names_its_stage(self, tmp_path,
+                                                            case):
+        for stage in STAGES[1:]:
+            (tmp_path / f"{stage}.txt").write_text("x")
+        root = tmp_path / "weigh.txt" if case == "not_a_directory" else tmp_path
+        path = root / f"{STAGES[0]}.txt"
+        if case == "directory":
+            path.mkdir()
+        with pytest.raises(TemplateError) as err:
+            load_templates(root)
+        assert str(err.value) == \
+            f"no template file for stage '{STAGES[0]}' at {path}"
+        assert err.value.__cause__ is None
+
+    def test_a_template_reads_as_text_mode_reads_it(self, tmp_path):
+        for stage in STAGES:
+            (tmp_path / f"{stage}.txt").write_bytes(b"a\r\nb\rc\n\xc3\xa9\r")
+        bodies = {t.body for t in load_templates(tmp_path).values()}
+        assert bodies == {"a\nb\nc\n\u00e9\n"}
+        (tmp_path / f"{STAGES[0]}.txt").write_bytes(b"ok\n\xe9t\xe9")
+        with pytest.raises(UnicodeDecodeError, match=r"^'utf-8' codec can't "
+                           r"decode byte 0xe9 in position 3: invalid "
+                           r"continuation byte$"):
+            load_templates(tmp_path)
+
     def test_weigh_template_states_the_weight_scale(self):
         body = load_templates()["weigh"].body
         assert "Assign a weight between 0 and 1" in body
