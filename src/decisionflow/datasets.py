@@ -396,26 +396,17 @@ def _one_hot_constraints(n: int) -> tuple[Constraint, ...]:
     )
 
 
-def mta_problem(record: MtaRecord,
-                one_hot=_one_hot_constraints) -> DecisionProblem:
-    """View an MTA record as a decision problem with standard one-hot
-    constraints, ``one_hot(n)`` for n actions."""
-    # positional: a keyword call costs a fifth more
-    return DecisionProblem(record.record_id, record.scenario, record.choices,
-                           one_hot(len(record.choices)), record.bias_text)
-
-
-def dellma_problem(record: DellmaRecord,
-                   one_hot=_one_hot_constraints) -> DecisionProblem:
-    return DecisionProblem(record.record_id, record.context, record.actions,
-                           one_hot(len(record.actions)))
-
-
 def problems_from_records(records, kind: str):
+    """One DecisionProblem per record, with the standard one-hot constraints
+    of its action count; a DeLLMa problem has no bias directive."""
     if kind not in DATASET_KINDS:
         raise ValueError(f"unknown dataset kind {kind!r}")
-    convert = mta_problem if kind == "mta" else dellma_problem
     # one pair per action count, shared by its problems; built afresh per
     # call, so every call parses as much as a new process does
     one_hot = cache(_one_hot_constraints)
-    return [convert(r, one_hot) for r in records]
+    # positional: a keyword call costs a fifth more
+    if kind == "mta":
+        return [DecisionProblem(r.record_id, r.scenario, r.choices,
+                                one_hot(len(r.choices)), r.bias_text) for r in records]
+    return [DecisionProblem(r.record_id, r.context, r.actions, one_hot(len(r.actions)))
+            for r in records]

@@ -30,14 +30,9 @@ class TemplateError(DecisionFlowError):
 
 
 class StageOutputError(DecisionFlowError):
-    """Base for failures while interpreting a model completion.
-
-    Carries the raw completion text so failed runs stay debuggable.
-    """
-
-    def __init__(self, message: str, raw: str | None = None):
-        super().__init__(message)
-        self.raw = raw
+    """Base for failures while interpreting a model completion. It holds only
+    its message: the completion it rejects ends the run's trace, which
+    ``pipeline.run_problem`` hangs on it as ``trace``."""
 
 
 class OutputParseError(StageOutputError):

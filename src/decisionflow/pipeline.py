@@ -331,21 +331,27 @@ def _bias_text(problem: DecisionProblem) -> str:
     return problem.bias_directive or NO_DIRECTIVE
 
 
-def attribute_codes(attributes) -> list[str]:
-    """Short uppercase codes for attribute names, collision-free."""
+def attribute_codes(attributes, n_actions: int) -> list[str]:
+    """Short uppercase codes for attribute names: the first letter or digit
+    of each word, or ``A{j+1}`` for a name with none. A code grows by its
+    own ``j+1`` until none of its term names ``{code}1``..``{code}n`` is
+    another attribute's, so every name is letters and digits, and unique."""
     codes = []
+    taken: set[str] = set()  # the term names of the codes so far
+    suffixes = range(1, n_actions + 1)
     for j, name in enumerate(attributes):
-        words = [w for w in name.replace("-", " ").split() if w]
-        code = "".join(w[0].upper() for w in words) or f"A{j + 1}"
-        while code in codes:
+        code = "".join(next((ch for ch in word.upper() if ch.isalnum()), "")
+                       for word in name.replace("-", " ").split()) or f"A{j + 1}"
+        while any(f"{code}{k}" in taken for k in suffixes):
             code = f"{code}{j + 1}"
+        taken.update(f"{code}{k}" for k in suffixes)
         codes.append(code)
     return codes
 
 
 def render_objective(problem, attributes, coefficients) -> dict:
     """Linear objective text over x variables, plus a variable glossary."""
-    codes = attribute_codes(attributes)
+    codes = attribute_codes(attributes, problem.n_actions)
     terms = []
     glossary = {}
     for i, action in enumerate(problem.actions):
@@ -618,8 +624,7 @@ def _run_direct(problem: DecisionProblem, ctx: ExperimentContext,
         return _self_consistency(problem, ctx, prompt, trace, repeat)
     completion = _call(ctx, trace, "S4", cfg.mode,
                        _request(ctx, cfg.mode, prompt))
-    reasoning, answer = parse_decision(completion.text, problem.n_actions,
-                                       index_base=1)
+    reasoning, answer = parse_decision(completion.text, problem.n_actions)
     trace.append(_event("S4", "parsed", "answer", answer))
     utilities = tuple(
         1.0 if i == answer else 0.0 for i in range(problem.n_actions)
@@ -644,8 +649,7 @@ def _self_consistency(problem, ctx, prompt, trace, repeat) -> DecisionOutcome:
             temperature=cfg.temperature_sampling, attempt=repeat * k + s,
         ))
         try:
-            _, answer = parse_decision(completion.text, problem.n_actions,
-                                       index_base=1)
+            _, answer = parse_decision(completion.text, problem.n_actions)
         except StageOutputError as err:
             abstained += 1
             trace.append(_event("S4", "note", f"sample[{s}]_abstained",

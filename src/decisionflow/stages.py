@@ -190,8 +190,8 @@ def extract_json_block(text: str) -> tuple[str, list[str]]:
     """Return the first well-delimited JSON object in ``text`` plus a repair log.
 
     The object inside a code fence is preferred over bare braces. Repairs are
-    purely syntactic and bounded; if none of them produce valid JSON the raw
-    text rides along on the error.
+    purely syntactic and bounded; if none of them produce valid JSON the
+    error says why, and the run's trace holds the text.
 
     The first candidate is decoded as it stands before any walk: it starts at
     the first '{' of the first fence block holding one, else of the whole
@@ -222,7 +222,7 @@ def _walk_json_block(text: str) -> tuple[str, list[str]]:
     if whole is not None and whole not in candidates:
         candidates.append(whole)
     if not candidates:
-        raise OutputParseError("no JSON object found in completion", raw=text)
+        raise OutputParseError("no JSON object found in completion")
 
     last_error = None
     for candidate in candidates:
@@ -245,9 +245,7 @@ def _walk_json_block(text: str) -> tuple[str, list[str]]:
                 return attempt, repairs
             except json.JSONDecodeError as err:
                 last_error = err
-    raise OutputParseError(
-        f"completion contains no parseable JSON object: {last_error}", raw=text
-    )
+    raise OutputParseError(f"completion contains no parseable JSON object: {last_error}")
 
 
 def parse_json_payload(text: str) -> tuple[object, list[str]]:
@@ -259,9 +257,7 @@ def _json_object(text: str) -> dict:
     """The JSON object a completion carries; SchemaError if it is not one."""
     payload, _ = parse_json_payload(text)
     if not isinstance(payload, dict):
-        raise SchemaError(
-            f"expected a JSON object, got {type(payload).__name__}", raw=text
-        )
+        raise SchemaError(f"expected a JSON object, got {type(payload).__name__}")
     return payload
 
 
@@ -276,13 +272,13 @@ def _as_number(value: object) -> float | None:
     return finite_float(value)
 
 
-def _unit_interval(value: object, what: str, raw: str) -> float:
+def _unit_interval(value: object, what: str) -> float:
     """value read by `_as_number` and clamped into [0, 1] with one warning;
     SchemaError naming ``what`` when it is not a finite number. A value in
     range comes back as it was read."""
     number = _as_number(value)
     if number is None:
-        raise SchemaError(f"{what} is not a finite number: {value!r}", raw=raw)
+        raise SchemaError(f"{what} is not a finite number: {value!r}")
     if not 0.0 <= number <= 1.0:
         clamped = min(1.0, max(0.0, number))
         log.warning("%s is %s, outside [0, 1]; clamped to %s", what, number, clamped)
@@ -302,17 +298,17 @@ def parse_extraction(text: str, actions) -> list[str]:
     """
     payload = _json_object(text)
     if "information" not in payload:
-        raise SchemaError("completion lacks an 'information' key", raw=text)
+        raise SchemaError("completion lacks an 'information' key")
     items = payload["information"]
     if not isinstance(items, list):
-        raise SchemaError("'information' must be an array", raw=text)
+        raise SchemaError("'information' must be an array")
     subject_tokens = set()
     for label in actions:
         subject_tokens |= _label_tokens(label)
     statements = []
     for item in items:
         if not isinstance(item, str):
-            raise SchemaError("'information' entries must be strings", raw=text)
+            raise SchemaError("'information' entries must be strings")
         stmt = item.strip()
         if not stmt:
             continue
@@ -348,19 +344,19 @@ def _cell_text(value: object) -> str:
     return str(value).strip()
 
 
-def _attribute_pairs(entry: object, raw: str):
+def _attribute_pairs(entry: object):
     """Normalize one variable's attribute listing to (name, verbal) pairs."""
     if isinstance(entry, dict):
         for name, value in entry.items():
             yield str(name), _cell_text(value)
         return
     if not isinstance(entry, list):
-        raise SchemaError("'Attribute' must be an array or object", raw=raw)
+        raise SchemaError("'Attribute' must be an array or object")
     for item in entry:
         if isinstance(item, dict):
             name = item.get("Attribute") or item.get("attribute") or item.get("Name")
             if not isinstance(name, str) or not name.strip():
-                raise SchemaError("attribute entry lacks a name", raw=raw)
+                raise SchemaError("attribute entry lacks a name")
             value = item.get("Value", item.get("value", ""))
             yield name, _cell_text(value)
         elif isinstance(item, str):
@@ -370,9 +366,7 @@ def _attribute_pairs(entry: object, raw: str):
             else:
                 yield item, "mentioned"
         else:
-            raise SchemaError(
-                f"attribute entry has unsupported type {type(item).__name__}", raw=raw
-            )
+            raise SchemaError(f"attribute entry has unsupported type {type(item).__name__}")
 
 
 def parse_attribute_table(text: str, actions) -> AttributeTable:
@@ -385,9 +379,9 @@ def parse_attribute_table(text: str, actions) -> AttributeTable:
     payload = _json_object(text)
     entries = payload.get("Variable", payload.get("Variables"))
     if entries is None:
-        raise SchemaError("completion lacks a 'Variable' key", raw=text)
+        raise SchemaError("completion lacks a 'Variable' key")
     if not isinstance(entries, list):
-        raise SchemaError("'Variable' must be an array", raw=text)
+        raise SchemaError("'Variable' must be an array")
 
     actions = tuple(actions)
     canon_actions = [canonical_name(label) for label in actions]
@@ -396,17 +390,15 @@ def parse_attribute_table(text: str, actions) -> AttributeTable:
     filled: dict[tuple[int, str], str] = {}
     for entry in entries:
         if not isinstance(entry, dict):
-            raise SchemaError("variable entries must be objects", raw=text)
+            raise SchemaError("variable entries must be objects")
         name = entry.get("Variable", entry.get("variable"))
         if not isinstance(name, str) or not name.strip():
-            raise SchemaError("variable entry lacks a name", raw=text)
+            raise SchemaError("variable entry lacks a name")
         index = _match_canonical(name, canon_actions)
         if index is None:
             raise AlignmentError(
-                f"variable {name!r} matches no action; candidates: {list(actions)}",
-                raw=text,
-            )
-        for attr_name, verbal in _attribute_pairs(entry.get("Attribute", []), text):
+                f"variable {name!r} matches no action; candidates: {list(actions)}")
+        for attr_name, verbal in _attribute_pairs(entry.get("Attribute", [])):
             canon = canonical_name(attr_name)
             if not canon:
                 continue
@@ -436,33 +428,25 @@ def parse_weight(text: str) -> tuple[str, float]:
     """Read (explanation, weight); out-of-range weights clamp with a warning."""
     payload = _json_object(text)
     if "Weight" not in payload:
-        raise SchemaError("completion lacks a 'Weight' key", raw=text)
-    weight = _unit_interval(payload["Weight"], "'Weight'", text)
+        raise SchemaError("completion lacks a 'Weight' key")
+    weight = _unit_interval(payload["Weight"], "'Weight'")
     explanation = payload.get("Explanation", "")
     return (str(explanation) if explanation is not None else "", weight)
 
 
-def parse_decision(text: str, n_actions: int, index_base: int = 0) -> tuple[str, int]:
-    """Read (reasoning, answer), normalizing the published indexing to 0-based.
-
-    index_base describes how the choices were numbered in the prompt (0 or 1).
-    The answer is normalized exactly once, here at the boundary.
-    """
+def parse_decision(text: str, n_actions: int) -> tuple[str, int]:
+    """Read (reasoning, answer). The answer numbers the choices from 1, as
+    the prompts do; it is made 0-based once, here at the boundary."""
     payload = _json_object(text)
     if "Answer" not in payload:
-        raise SchemaError("completion lacks an 'Answer' key", raw=text)
+        raise SchemaError("completion lacks an 'Answer' key")
     value = _as_number(payload["Answer"])
     if value is None or int(value) != value:
-        raise SchemaError(
-            f"'Answer' is not an integer index: {payload['Answer']!r}", raw=text
-        )
-    answer = int(value) - index_base
+        raise SchemaError(f"'Answer' is not an integer index: {payload['Answer']!r}")
+    answer = int(value) - 1
     if not 0 <= answer < n_actions:
         raise AnswerRangeError(
-            f"answer {payload['Answer']!r} is outside the action range "
-            f"[{index_base}, {index_base + n_actions - 1}]",
-            raw=text,
-        )
+            f"answer {payload['Answer']!r} is outside the action range [1, {n_actions}]")
     reasoning = payload.get("Reasoning", "")
     return (str(reasoning) if reasoning is not None else "", answer)
 
@@ -476,27 +460,26 @@ def parse_grounding(text: str, table: AttributeTable, surviving) -> tuple:
     """
     payload = _json_object(text)
     if "Scores" not in payload:
-        raise SchemaError("completion lacks a 'Scores' key", raw=text)
+        raise SchemaError("completion lacks a 'Scores' key")
     items = payload["Scores"]
     if not isinstance(items, list):
-        raise SchemaError("'Scores' must be an array", raw=text)
+        raise SchemaError("'Scores' must be an array")
 
     canon_actions = [canonical_name(label) for label in table.actions]
     scored: dict[tuple[int, int], float] = {}
     for item in items:
         if not isinstance(item, dict):
-            raise SchemaError("score entries must be objects", raw=text)
+            raise SchemaError("score entries must be objects")
         var = item.get("Variable", item.get("variable"))
         attr = item.get("Attribute", item.get("attribute"))
         if not isinstance(var, str) or not isinstance(attr, str):
-            raise SchemaError("score entry lacks Variable/Attribute names", raw=text)
+            raise SchemaError("score entry lacks Variable/Attribute names")
         i = _match_canonical(var, canon_actions)
         j = table.columns.get(canonical_name(attr))
         if i is None or j is None:
             log.warning("score for unknown cell (%r, %r) ignored", var, attr)
             continue
-        value = _unit_interval(item.get("Score"),
-                               f"score for ({var!r}, {attr!r})", text)
+        value = _unit_interval(item.get("Score"), f"score for ({var!r}, {attr!r})")
         if (i, j) not in scored:
             scored[(i, j)] = value
 
@@ -513,9 +496,7 @@ def parse_grounding(text: str, table: AttributeTable, surviving) -> tuple:
             elif (i, j) in surviving:
                 raise CompletenessError(
                     f"no score for surviving cell ({table.actions[i]!r}, "
-                    f"{table.attributes[j]!r})",
-                    raw=text,
-                )
+                    f"{table.attributes[j]!r})")
             else:
                 row.append(0.0)
         grid.append(tuple(row))

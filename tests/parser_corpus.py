@@ -54,8 +54,8 @@ def _weight(text):
     return lambda: parse_weight(text)
 
 
-def _decision(text, n=2, base=0):
-    return lambda: parse_decision(text, n, base)
+def _decision(text, n=2):
+    return lambda: parse_decision(text, n)
 
 
 def _extraction(text, actions=ACTIONS):
@@ -115,17 +115,15 @@ CASES = [
     Case("weight_boolean", _weight('{"Weight": true}'), error=SchemaError),
 
     # --- decision parsing ---
-    Case("decision_zero_based", _decision('{"Answer": 0}', n=2, base=0),
-         check=lambda out: out[1] == 0),
-    Case("decision_one_based", _decision('{"Answer": 2}', n=2, base=1),
+    Case("decision_one_based", _decision('{"Answer": 2}', n=2),
          check=lambda out: out[1] == 1),
-    Case("decision_out_of_range", _decision('{"Answer": 7}', n=2, base=1),
+    Case("decision_out_of_range", _decision('{"Answer": 7}', n=2),
          error=AnswerRangeError),
-    Case("decision_zero_under_one_based", _decision('{"Answer": 0}', n=2, base=1),
+    Case("decision_zero_under_one_based", _decision('{"Answer": 0}', n=2),
          error=AnswerRangeError),
-    Case("decision_numeric_string", _decision('{"Answer": "2"}', n=3, base=1),
+    Case("decision_numeric_string", _decision('{"Answer": "2"}', n=3),
          check=lambda out: out[1] == 1),
-    Case("decision_integral_float", _decision('{"Answer": 2.0}', n=2, base=1),
+    Case("decision_integral_float", _decision('{"Answer": 2.0}', n=2),
          check=lambda out: out[1] == 1),
     Case("decision_fractional", _decision('{"Answer": 1.5}'), error=SchemaError),
     Case("decision_missing_answer",
@@ -134,8 +132,7 @@ CASES = [
          _decision("I am not able to make this choice."), error=OutputParseError),
     Case("decision_list_answer", _decision('{"Answer": [1]}'), error=SchemaError),
     Case("decision_with_reasoning",
-         _decision('{"Reasoning": "the bomber can be saved", "Answer": 2}',
-                   n=2, base=1),
+         _decision('{"Reasoning": "the bomber can be saved", "Answer": 2}'),
          check=lambda out: out == ("the bomber can be saved", 1)),
 
     # --- extraction parsing ---

@@ -34,7 +34,7 @@ from decisionflow.gateway import (
     TranscriptStore,
 )
 from decisionflow.metrics import evaluate
-from decisionflow.testing import ScriptedTransport, fixture_script
+from decisionflow.testing import REFUSAL_TEXT, ScriptedTransport, fixture_script
 
 
 def make_config(tmp_path, name="config.json", **overrides) -> Path:
@@ -1076,6 +1076,60 @@ def abstaining_script(broken):
             return "no attribute table here"
         return fixture_script(request)
     return script
+
+
+# stage tag -> (a reply its parser rejects, the error, the mode that sends it)
+BROKEN_REPLIES = {
+    "extract_info": ('{"information": 3}', "SchemaError", "decisionflow"),
+    "summarize_attributes": (
+        '{"Variable": [{"Variable": "Nobody named here", "Attribute": []}]}',
+        "AlignmentError", "decisionflow"),
+    "weigh": ('{"Weight": "high"}', "SchemaError", "decisionflow"),
+    "ground_and_decide": ('{"Scores": []}', "CompletenessError", "decisionflow"),
+    "zero_shot": (REFUSAL_TEXT, "OutputParseError", "zero_shot"),
+}
+
+
+@pytest.mark.parametrize("stage, concurrency", [
+    *((stage, 1) for stage in BROKEN_REPLIES), ("weigh", 3)])
+def test_abstained_trace_ends_with_the_rejected_completion(
+        stage, concurrency, tmp_path, monkeypatch):
+    """A stage error carries only its message; the text its parser rejected
+    is the last event of the run's trace file."""
+    records = load_dataset(DATASET_DIR / "mta_small.jsonl", "mta")
+    broken = records[2]
+    reply, error, mode = BROKEN_REPLIES[stage]
+    # an extraction prompt holds no directive, so both runs of the scenario
+    # send it; the weigh case breaks cell (1, 0) only, so cell (1, 1) is
+    # answered but never reaches the trace
+    markers = {
+        "extract_info": (broken.scenario,),
+        "weigh": (broken.bias_text, f'Action: "{broken.choices[1]}"\n'
+                                    'Attribute: "Expected benefit"'),
+    }.get(stage, (broken.bias_text,))
+
+    def script(request):
+        if request.stage_tag == stage and all(m in request.prompt for m in markers):
+            return reply
+        return fixture_script(request)
+
+    config = record_sweep_config(tmp_path, monkeypatch, ScriptedTransport(script),
+                                 concurrency)
+    assert cli.main(["run", "--config", str(config), "--mode", mode]) \
+        == cli.EXIT_PARTIAL
+    out = tmp_path / "out"
+    manifest = json.loads((out / "manifest.json").read_text())
+    abstained = [(run["id"], run["error"]) for run in manifest["runs"]
+                 if run["abstained"]]
+    hit = [r.record_id for r in records if markers[0] in (r.scenario, r.bias_text)]
+    assert abstained == [(record_id, error) for record_id in hit]
+    for record_id in hit:
+        trace = json.loads(
+            (out / "traces" / f"{record_id}__r0.json").read_text())
+        last = trace[-1]
+        assert last["kind"] == "completion"
+        assert last["payload"]["stage_tag"] == stage
+        assert last["payload"]["text"] == reply
 
 
 class TestSweepCommand:

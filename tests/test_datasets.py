@@ -21,11 +21,9 @@ from decisionflow.datasets import (
     DellmaRecord,
     MtaRecord,
     PredictionRow,
-    dellma_problem,
     dumps_indented,
     load_dataset,
     load_predictions,
-    mta_problem,
     problems_from_records,
     write_json,
     write_predictions,
@@ -670,7 +668,7 @@ class TestProblemConversion:
             record_id="mta-1", scenario="s", choices=("Treat A", "Treat B"),
             dma="fairness", alignment="high", bias_text="directive", gold=1,
         )
-        problem = mta_problem(record)
+        [problem] = problems_from_records([record], "mta")
         assert problem.bias_directive == "directive"
         assert [(c.source_text, c.excludes) for c in problem.constraints] == [
             ("x1 + x2 <= 1", set()), ("x1, x2 in {0, 1}", set())]
@@ -681,7 +679,7 @@ class TestProblemConversion:
             record_id="d-1", domain="stocks", context="prices",
             actions=("Buy X", "Buy Y", "Buy Z"), gold=2,
         )
-        problem = dellma_problem(record)
+        [problem] = problems_from_records([record], "dellma")
         assert problem.bias_directive is None
         assert problem.n_actions == 3
         assert problem.constraints[0].source_text == "x1 + x2 + x3 <= 1"
@@ -691,7 +689,6 @@ class TestProblemConversion:
                                                   dellma_records, monkeypatch):
         # dellma_small has one record per action count, so take it twice
         records = mta_records if kind == "mta" else dellma_records * 2
-        convert = mta_problem if kind == "mta" else dellma_problem
         parses = []
 
         def counting(text):
@@ -714,7 +711,8 @@ class TestProblemConversion:
             assert by_count.setdefault(problem.n_actions,
                                        problem.constraints) \
                 is problem.constraints
-            assert problem.constraints == convert(record).constraints
+            # a fresh call, with a fresh cache, builds the same problem
+            assert problems_from_records([record], kind) == [problem]
 
     def test_unknown_kind_rejected(self, mta_records):
         with pytest.raises(ValueError, match="unknown dataset kind 'dellma2'"):

@@ -11,8 +11,6 @@ from decisionflow import errors
 
 def sample(cls):
     """One instance of ``cls``, with the extra attributes its class takes."""
-    if issubclass(cls, errors.StageOutputError):
-        return cls("bad completion", raw="{oops")
     if cls is errors.BackendError:
         return cls("bad payload", payload={"a": [1]})
     if cls is errors.ReplayMissError:

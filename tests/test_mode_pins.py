@@ -1,10 +1,12 @@
-"""Frozen replay output per mode, and the corpus it replays from.
+"""Frozen replay output per mode and per bundled config, and the corpus
+they replay from.
 
 Each of the nine modes replays the bundled MTA config from the recorded
-corpus. A SHA-256 over ``predictions.jsonl`` plus every trace file (sorted by
-name) must equal the digest frozen here, so a refactor that changes a single
-prediction or trace byte fails, not only one that makes two replays of the
-same code disagree. Re-recording the corpus with
+corpus, and each of the nine bundled configs replays as it stands, serially
+and in forked workers. A SHA-256 over ``predictions.jsonl`` plus every trace
+file (sorted by name) must equal the digest frozen here, so a refactor that
+changes a single prediction or trace byte fails, not only one that makes two
+replays of the same code disagree. Re-recording the corpus with
 ``scripts/record_fixtures.py`` must give back every transcript file, byte for
 byte apart from its ``recorded_at`` time.
 """
@@ -68,6 +70,35 @@ def test_mode_replay_matches_pinned_digest(mode, tmp_path, monkeypatch):
     ])
     assert code == 0
     assert run_output_digest(out) == PINNED[mode]
+
+
+# config -> (exit code, digest); each MTA config gives its mode's pin
+CONFIG_PINNED = {
+    "replay_dellma_decisionflow": (
+        0, "4ab9f166ff3cc778fdc53fe3f7c5b3e66f5f191dbfdd0ed175a568b36af6ac16"),
+    "replay_edge_decisionflow": (
+        0, "d930e02d6502fb8c9c4c0e4521ef72e93b8ab866d8c1e244fb80b07dafaf181b"),
+    "replay_edge_zero_shot": (
+        2, "ab7db9710dfdc81622a176c7069b8550a70dd09c35bf580583ef1cf53d91aa0c"),
+    **{f"replay_mta_{mode}": (0, PINNED[mode]) for mode in (
+        "cot", "cot_with_tools", "decisionflow", "joint", "self_consistency",
+        "zero_shot")},
+}
+
+
+def test_every_bundled_config_is_pinned():
+    assert set(CONFIG_PINNED) == {path.stem for path in CONFIG_DIR.glob("*.json")}
+
+
+@pytest.mark.parametrize("concurrency", [1, 2])
+@pytest.mark.parametrize("config", sorted(CONFIG_PINNED))
+def test_config_replay_matches_pinned_digest(config, concurrency, tmp_path,
+                                             monkeypatch):
+    monkeypatch.chdir(REPO_ROOT)
+    out = tmp_path / config
+    code = cli.main(["run", "--config", str(CONFIG_DIR / f"{config}.json"),
+                     "--out", str(out), "--max-concurrency", str(concurrency)])
+    assert (code, run_output_digest(out)) == CONFIG_PINNED[config]
 
 
 RECORDED_AT = re.compile(rb'\n  "recorded_at": "[^"]*",\n')

@@ -1052,12 +1052,58 @@ class TestKernelSweep:
 
 class TestHelpers:
     def test_attribute_codes_initials_and_collisions(self):
-        assert attribute_codes(("Medical condition", "Survival probability")) \
+        assert attribute_codes(("Medical condition", "Survival probability"), 2) \
             == ["MC", "SP"]
-        assert attribute_codes(("Risk", "Reward")) == ["R", "R2"]
+        assert attribute_codes(("Risk", "Reward"), 2) == ["R", "R2"]
         # "Risk" would take "R3" again; the suffix goes on until it is new
-        assert attribute_codes(("R 3", "Rate", "Risk")) == ["R3", "R", "R33"]
-        assert attribute_codes(("Yield",)) == ["Y"]
+        assert attribute_codes(("R 3", "Rate", "Risk"), 3) == ["R3", "R", "R33"]
+        assert attribute_codes(("Yield",), 2) == ["Y"]
+        # at 11 actions "R1" would name R11, which "R" names too
+        assert attribute_codes(("Risk", "R 1"), 11) == ["R", "R12"]
+        # punctuation gives no initial; a name with no letter gives A{j+1}
+        assert attribute_codes(("**Risk**", "**Cost**", "---"), 2) \
+            == ["R", "C", "A3"]
+
+    # every attribute of each case has a nonzero coefficient for every
+    # action, so the terms come action-major in attribute order
+    OBJECTIVE_CASES = [
+        pytest.param(("Medical condition", "Survival probability"), 2,
+                     id="initials"),
+        pytest.param(("**Risk**", "**Cost**"), 2, id="punctuation"),
+        pytest.param(("Risk", "R 1"), 11, id="R11-twice"),
+        pytest.param(("R 3", "Rate", "Risk"), 40, id="R31-twice"),
+    ]
+
+    @staticmethod
+    def _objective(attributes, n):
+        problem = DecisionProblem("p", "s", tuple(f"a{i}" for i in range(n)))
+        coefficients = [[0.5] * len(attributes) for _ in range(n)]
+        return problem, render_objective(problem, attributes, coefficients)
+
+    @pytest.mark.parametrize("attributes, n", OBJECTIVE_CASES)
+    def test_objective_terms_split_into_coefficient_name_variable(
+            self, attributes, n):
+        _, objective = self._objective(attributes, n)
+        terms = objective["term"].split(" + ")
+        assert len(terms) == n * len(attributes)
+        for t, term in enumerate(terms):
+            coefficient, name, variable = term.split("*")
+            assert coefficient == "0.5"
+            assert name.isalnum(), term
+            assert variable == f"x{t // len(attributes) + 1}"
+
+    @pytest.mark.parametrize("attributes, n", OBJECTIVE_CASES)
+    def test_objective_glossary_names_each_cell_once(self, attributes, n):
+        problem, objective = self._objective(attributes, n)
+        m = len(attributes)
+        names = [term.split("*")[1] for term in objective["term"].split(" + ")]
+        glossary = objective["variables"]
+        assert len(set(names)) == n * m
+        assert len(glossary) == len(set(names)) + n
+        for t, name in enumerate(names):
+            i, j = divmod(t, m)
+            assert glossary[name] == (f"score of attribute {attributes[j]!r} "
+                                      f"for action {problem.actions[i]!r}")
 
     def test_render_objective_empty_support(self, degenerate_problem):
         objective = render_objective(

@@ -221,7 +221,7 @@ TWO_BY_ONE = AttributeTable(actions=("alpha", "beta"), attributes=("Cost",),
     pytest.param("9" * 400, id="400-digit-int")])
 @pytest.mark.parametrize("parse", [
     lambda v: parse_weight(f'{{"Weight": {v}}}'),
-    lambda v: parse_decision(f'{{"Answer": {v}}}', 2, index_base=1),
+    lambda v: parse_decision(f'{{"Answer": {v}}}', 2),
     lambda v: parse_grounding(
         f'{{"Scores": [{{"Variable": "alpha", "Attribute": "Cost", '
         f'"Score": {v}}}]}}', TWO_BY_ONE, [(0, 0)]),
