@@ -258,12 +258,13 @@ class DecisionOutcome:
     """Final product of one run: chosen action, utilities, and the trace.
 
     A run that abstains raises instead, so every outcome has an answer.
-    trace holds JSON-compatible stage events in execution order.
+    trace holds JSON-compatible stage events in execution order; the
+    structured rationale is its S4 ``rationale`` event, and a baseline's
+    reasoning stays in its completion text.
     """
 
     answer: int
     utilities: tuple[float, ...]
-    rationale: str
     trace: tuple[dict, ...] = ()
 
     def __post_init__(self):

@@ -52,14 +52,14 @@ from .stages import (
 log = logging.getLogger(__name__)
 
 # name -> (structured?, runner options). Structured modes run the four-step
-# pipeline with these overrides; the others prompt for the answer directly.
+# pipeline with these overrides; the others prompt with their own template.
 MODES = {
     "decisionflow": (True, {}),
-    "zero_shot": (False, {"template": "zero_shot"}),
-    "cot": (False, {"template": "cot", "keep_reasoning": True}),
+    "zero_shot": (False, {}),
+    "cot": (False, {}),
     "cot_with_tools": (True, {"with_rationale": False}),
-    "self_consistency": (False, {"template": "zero_shot", "sampled": True}),
-    "joint": (False, {"template": "joint", "keep_reasoning": True}),
+    "self_consistency": (False, {"sampled": True}),
+    "joint": (False, {}),
     "ablate_no_filter": (True, {"policy": FilterPolicy.none()}),
     "ablate_no_scoring": (True, {"all_ones": True}),
     "ablate_both": (True, {"policy": FilterPolicy.none(), "all_ones": True}),
@@ -312,23 +312,27 @@ def _call(ctx, trace, stage, name, request):
     return completion
 
 
+def _ask(ctx, trace, stage, tag, values, *, model=None):
+    """One call of the template named ``tag``, recorded under that name."""
+    prompt = render_stage_prompt(ctx.templates[tag], values)
+    return _call(ctx, trace, stage, tag, _request(ctx, tag, prompt, model=model))
+
+
 def _bullets(items) -> str:
     return "\n".join(f"- {item}" for item in items) if items else "(none)"
 
 
-def _choices_block(problem: DecisionProblem) -> str:
-    return "\n".join(
-        f"({i + 1}) {label}" for i, label in enumerate(problem.actions)
-    )
-
-
-def _constraints_block(problem: DecisionProblem) -> str:
+def _prompt_values(problem: DecisionProblem) -> dict[str, str]:
+    """The values of the problem that any stage prompt may name."""
     texts = [c.source_text for c in problem.constraints]
-    return "\n".join(texts) if texts else "(none)"
-
-
-def _bias_text(problem: DecisionProblem) -> str:
-    return problem.bias_directive or NO_DIRECTIVE
+    return {
+        "scenario": problem.scenario,
+        "actions": _bullets(problem.actions),
+        "choices": "\n".join(f"({i + 1}) {label}"
+                             for i, label in enumerate(problem.actions)),
+        "bias": problem.bias_directive or NO_DIRECTIVE,
+        "constraints": "\n".join(texts) if texts else "(none)",
+    }
 
 
 def attribute_codes(attributes, n_actions: int) -> list[str]:
@@ -417,31 +421,20 @@ def run_structured(problem: DecisionProblem, ctx: ExperimentContext,
     """
     cfg = ctx.config
     policy = policy if policy is not None else cfg.filter_policy
-    bias = _bias_text(problem)
-    constraints_text = _constraints_block(problem)
+    values = _prompt_values(problem)
 
     # --- S1: extract, then summarize into an attribute table (info model) ---
-    completion = _call(ctx, trace, "S1", "extract_info", _request(
-        ctx, "extract_info", model=cfg.info_model,
-        prompt=render_stage_prompt(ctx.templates["extract_info"], {
-            "scenario": problem.scenario,
-            "actions": _bullets(problem.actions),
-        }),
-    ))
+    completion = _ask(ctx, trace, "S1", "extract_info", values,
+                      model=cfg.info_model)
     statements = parse_extraction(completion.text, problem.actions)
     trace.append(_event("S1", "parsed", "statements", statements))
     if not statements:
         trace.append(_event("S1", "note", "degenerate_extraction",
                             "no statements extracted"))
 
-    completion = _call(ctx, trace, "S1", "summarize_attributes", _request(
-        ctx, "summarize_attributes", model=cfg.info_model,
-        prompt=render_stage_prompt(ctx.templates["summarize_attributes"], {
-            "actions": _bullets(problem.actions),
-            "statements": _bullets(statements),
-            "bias": bias,
-        }),
-    ))
+    completion = _ask(ctx, trace, "S1", "summarize_attributes",
+                      {**values, "statements": _bullets(statements)},
+                      model=cfg.info_model)
     table = parse_attribute_table(completion.text, problem.actions)
     n, m = table.shape
     trace.append(_event("S1", "parsed", "attribute_table", {
@@ -455,7 +448,7 @@ def run_structured(problem: DecisionProblem, ctx: ExperimentContext,
         trace.append(_event("S2", "note", "scoring_ablated",
                             "weighing skipped; weights fixed to all ones"))
     else:
-        weights = _weigh_cells(problem, ctx, table, trace, bias, constraints_text)
+        weights = _weigh_cells(problem, ctx, table, trace, values)
     trace.append(_event("S2", "matrix", "weights", _grid_payload(weights.entries)))
 
     # "relevance" applies the policy to the grounded scores in S4, so every
@@ -490,18 +483,13 @@ def run_structured(problem: DecisionProblem, ctx: ExperimentContext,
         trace.append(_event("S3", "note", "grounding_skipped",
                             "no surviving cells to score"))
     else:
-        completion = _call(ctx, trace, "S3", "ground_and_decide", _request(
-            ctx, "ground_and_decide",
-            prompt=render_stage_prompt(ctx.templates["ground_and_decide"], {
-                "bias": bias,
-                "actions": _bullets(problem.actions),
-                "objective": objective["term"],
-                "variables": dumps_indented(objective["variables"],
-                                            sort_keys=False),
-                "constraints": constraints_text,
-                "cells": dumps_indented(cells_payload, sort_keys=False),
-            }),
-        ))
+        completion = _ask(ctx, trace, "S3", "ground_and_decide", {
+            **values,
+            "objective": objective["term"],
+            "variables": dumps_indented(objective["variables"],
+                                        sort_keys=False),
+            "cells": dumps_indented(cells_payload, sort_keys=False),
+        })
         grounded = parse_grounding(completion.text, table, surviving)
     trace.append(_event("S3", "matrix", "relevance_grounded",
                         _grid_payload(grounded)))
@@ -519,21 +507,18 @@ def run_structured(problem: DecisionProblem, ctx: ExperimentContext,
         trace.append(_event("S4", "note", "degenerate",
                             "all utilities are zero; answer is the tie-break"))
 
-    rationale = ""
     if with_rationale:
-        rationale = _rationale_call(problem, ctx, table, sol, trace, bias)
+        _rationale_call(problem, ctx, table, sol, trace, values)
 
-    return DecisionOutcome(
-        answer=sol.answer, utilities=sol.utilities, rationale=rationale,
-        trace=tuple(trace),
-    )
+    return DecisionOutcome(answer=sol.answer, utilities=sol.utilities,
+                           trace=tuple(trace))
 
 
 def _grid_payload(entries):
     return [list(row) for row in entries]
 
 
-def _weigh_cells(problem, ctx, table, trace, bias, constraints_text) -> WeightMatrix:
+def _weigh_cells(problem, ctx, table, trace, values) -> WeightMatrix:
     """One weigh call per (action, attribute) cell, row-major.
 
     Calls may run concurrently in record mode; trace events are emitted in
@@ -543,14 +528,12 @@ def _weigh_cells(problem, ctx, table, trace, bias, constraints_text) -> WeightMa
     n, m = table.shape
     cells = [(i, j) for i in range(n) for j in range(m)]
     requests = [
-        _request(ctx, "weigh", render_stage_prompt(
-            ctx.templates["weigh"], {
-                "bias": bias,
-                "constraints": constraints_text,
-                "action": problem.actions[i],
-                "attribute": table.attributes[j],
-                "verbal": table.cells[i][j],
-            }))
+        _request(ctx, "weigh", render_stage_prompt(ctx.templates["weigh"], {
+            **values,
+            "action": problem.actions[i],
+            "attribute": table.attributes[j],
+            "verbal": table.cells[i][j],
+        }))
         for (i, j) in cells
     ]
     completions = _map(ctx.gateway.complete, requests, ctx)
@@ -566,7 +549,7 @@ def _weigh_cells(problem, ctx, table, trace, bias, constraints_text) -> WeightMa
     return WeightMatrix(tuple(tuple(row) for row in rows))
 
 
-def _rationale_call(problem, ctx, table, sol, trace, bias) -> str:
+def _rationale_call(problem, ctx, table, sol, trace, values):
     utilities_text = "; ".join(
         f"{label}: {u:.6g}" for label, u in zip(problem.actions, sol.utilities)
     )
@@ -587,59 +570,46 @@ def _rationale_call(problem, ctx, table, sol, trace, bias) -> str:
     active = _bullets([c.source_text for c in problem.constraints
                        if c.excludes & excluded])
 
-    completion = _call(ctx, trace, "S4", "rationale", _request(
-        ctx, "rationale",
-        prompt=render_stage_prompt(ctx.templates["rationale"], {
-            "scenario": problem.scenario,
-            "actions": _bullets(problem.actions),
-            "bias": bias,
-            "utilities": utilities_text,
-            "winner": problem.actions[sol.answer],
-            "runner_up": runner_up,
-            "influential": influential,
-            "active_constraints": active,
-        }),
-    ))
-    rationale = completion.text.strip()
-    trace.append(_event("S4", "parsed", "rationale", rationale))
-    return rationale
+    completion = _ask(ctx, trace, "S4", "rationale", {
+        **values,
+        "utilities": utilities_text,
+        "winner": problem.actions[sol.answer],
+        "runner_up": runner_up,
+        "influential": influential,
+        "active_constraints": active,
+    })
+    trace.append(_event("S4", "parsed", "rationale", completion.text.strip()))
 
 
 def _run_direct(problem: DecisionProblem, ctx: ExperimentContext,
-                trace: list[dict], repeat: int, *, template: str,
-                keep_reasoning: bool = False,
+                trace: list[dict], repeat: int, *,
                 sampled: bool = False) -> DecisionOutcome:
-    """Direct prompting over the numbered choices, tagged with the mode name.
+    """Direct prompting over the numbered choices.
 
-    One completion answers (zero_shot, cot, joint), or with sampled=True k
-    votes at the sampling temperature do (self_consistency).
+    One completion of the template named after the mode answers (zero_shot,
+    cot, joint), and any reasoning stays in that completion's text. With
+    sampled=True, k votes on the zero_shot prompt do (self_consistency).
     """
-    cfg = ctx.config
-    prompt = render_stage_prompt(ctx.templates[template], {
-        "scenario": problem.scenario,
-        "bias": _bias_text(problem),
-        "choices": _choices_block(problem),
-    })
     if sampled:
-        return _self_consistency(problem, ctx, prompt, trace, repeat)
-    completion = _call(ctx, trace, "S4", cfg.mode,
-                       _request(ctx, cfg.mode, prompt))
-    reasoning, answer = parse_decision(completion.text, problem.n_actions)
+        return _self_consistency(problem, ctx, trace, repeat)
+    completion = _ask(ctx, trace, "S4", ctx.config.mode,
+                      _prompt_values(problem))
+    answer = parse_decision(completion.text, problem.n_actions)
     trace.append(_event("S4", "parsed", "answer", answer))
     utilities = tuple(
         1.0 if i == answer else 0.0 for i in range(problem.n_actions)
     )
-    return DecisionOutcome(
-        answer=answer, utilities=utilities,
-        rationale=reasoning if keep_reasoning else "",
-        trace=tuple(trace),
-    )
+    return DecisionOutcome(answer=answer, utilities=utilities,
+                           trace=tuple(trace))
 
 
-def _self_consistency(problem, ctx, prompt, trace, repeat) -> DecisionOutcome:
-    """k sampled votes at the sampling temperature; majority wins, ties go to
-    the lowest action index, abstaining samples leave the denominator."""
+def _self_consistency(problem, ctx, trace, repeat) -> DecisionOutcome:
+    """k sampled votes on the zero_shot prompt at the sampling temperature;
+    majority wins, ties go to the lowest action index, abstaining samples
+    leave the denominator."""
     cfg = ctx.config
+    prompt = render_stage_prompt(ctx.templates["zero_shot"],
+                                 _prompt_values(problem))
     k = cfg.self_consistency_k
     votes = [0.0] * problem.n_actions
     abstained = 0
@@ -649,7 +619,7 @@ def _self_consistency(problem, ctx, prompt, trace, repeat) -> DecisionOutcome:
             temperature=cfg.temperature_sampling, attempt=repeat * k + s,
         ))
         try:
-            _, answer = parse_decision(completion.text, problem.n_actions)
+            answer = parse_decision(completion.text, problem.n_actions)
         except StageOutputError as err:
             abstained += 1
             trace.append(_event("S4", "note", f"sample[{s}]_abstained",
@@ -662,9 +632,8 @@ def _self_consistency(problem, ctx, prompt, trace, repeat) -> DecisionOutcome:
     trace.append(_event("S4", "parsed", "votes", votes))
     answer = select_action(votes, frozenset(range(problem.n_actions)))
     trace.append(_event("S4", "parsed", "answer", answer))
-    return DecisionOutcome(
-        answer=answer, utilities=tuple(votes), rationale="", trace=tuple(trace)
-    )
+    return DecisionOutcome(answer=answer, utilities=tuple(votes),
+                           trace=tuple(trace))
 
 
 @dataclass(frozen=True)

@@ -48,8 +48,12 @@ STAGES = tuple(tag for tag in STAGE_TAGS if tag != "self_consistency")
 PLACEHOLDER_RE = re.compile(r"\{([a-z][a-z0-9_]*)\}")
 # the characters that can change the state of the balanced-brace walk
 WALK_RE = re.compile(r"""[{}"'\\]""")
-TRAILING_COMMA_RE = re.compile(r",(\s*[}\]])")
-BARE_KEY_RE = re.compile(r"([{,]\s*)([A-Za-z_][A-Za-z0-9_]*)(\s*:)")
+# the repairs match a quoted string first and put it back unchanged, so
+# that they rewrite only the text outside strings
+QUOTED = r"""("[^"\\]*(?:\\.[^"\\]*)*"|'[^'\\]*(?:\\.[^'\\]*)*')"""
+TRAILING_COMMA_RE = re.compile(QUOTED + r"|,(\s*[}\]])", re.S)
+BARE_KEY_RE = re.compile(QUOTED + r"|([{,]\s*)([A-Za-z_][A-Za-z0-9_]*)(\s*:)",
+                         re.S)
 
 
 @dataclass(frozen=True)
@@ -166,8 +170,9 @@ def _single_to_double_quotes(text: str) -> str:
 
 
 REPAIR_PASSES = (
-    ("removed trailing commas", lambda s: TRAILING_COMMA_RE.sub(r"\1", s)),
-    ("quoted bare keys", lambda s: BARE_KEY_RE.sub(r'\1"\2"\3', s)),
+    ("removed trailing commas", lambda s: TRAILING_COMMA_RE.sub(r"\1\2", s)),
+    ("quoted bare keys", lambda s: BARE_KEY_RE.sub(
+        lambda m: m[1] or f'{m[2]}"{m[3]}"{m[4]}', s)),
     ("converted single quotes to double quotes", _single_to_double_quotes),
 )
 
@@ -232,7 +237,7 @@ def _walk_json_block(text: str) -> tuple[str, list[str]]:
             json.loads(attempt)
             return attempt, []
         except json.JSONDecodeError as err:
-            last_error = err
+            last_error = str(err)  # not err: its traceback would make a cycle
         for note, fix in REPAIR_PASSES:
             fixed = fix(attempt)
             if fixed != attempt:
@@ -244,7 +249,7 @@ def _walk_json_block(text: str) -> tuple[str, list[str]]:
                     log.debug("json repair applied: %s", applied)
                 return attempt, repairs
             except json.JSONDecodeError as err:
-                last_error = err
+                last_error = str(err)
     raise OutputParseError(f"completion contains no parseable JSON object: {last_error}")
 
 
@@ -434,9 +439,10 @@ def parse_weight(text: str) -> tuple[str, float]:
     return (str(explanation) if explanation is not None else "", weight)
 
 
-def parse_decision(text: str, n_actions: int) -> tuple[str, int]:
-    """Read (reasoning, answer). The answer numbers the choices from 1, as
-    the prompts do; it is made 0-based once, here at the boundary."""
+def parse_decision(text: str, n_actions: int) -> int:
+    """Read the 0-based answer. The completion numbers the choices from 1, as
+    the prompts do; it is made 0-based once, here at the boundary. Other
+    keys, such as a Reasoning, are ignored: the trace keeps the text."""
     payload = _json_object(text)
     if "Answer" not in payload:
         raise SchemaError("completion lacks an 'Answer' key")
@@ -447,8 +453,7 @@ def parse_decision(text: str, n_actions: int) -> tuple[str, int]:
     if not 0 <= answer < n_actions:
         raise AnswerRangeError(
             f"answer {payload['Answer']!r} is outside the action range [1, {n_actions}]")
-    reasoning = payload.get("Reasoning", "")
-    return (str(reasoning) if reasoning is not None else "", answer)
+    return answer
 
 
 def parse_grounding(text: str, table: AttributeTable, surviving) -> tuple:

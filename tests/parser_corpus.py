@@ -113,18 +113,28 @@ CASES = [
          error=SchemaError),
     Case("weight_nan_string", _weight('{"Weight": "nan"}'), error=SchemaError),
     Case("weight_boolean", _weight('{"Weight": true}'), error=SchemaError),
+    # the repairs rewrite only the text outside strings
+    Case("weight_bare_keys_keep_a_colon_in_a_string",
+         _weight('{Weight: 0.5, Explanation: "risk, cost: high"}'),
+         check=lambda out: out == ("risk, cost: high", 0.5)),
+    Case("weight_trailing_comma_kept_in_a_string",
+         _weight('{"Explanation": "ranked [a, b,] by cost", "Weight": 0.5,}'),
+         check=lambda out: out == ("ranked [a, b,] by cost", 0.5)),
+    Case("weight_single_quotes_keep_a_colon_in_a_string",
+         _weight("""{'Weight': 0.5, 'Explanation': 'the "best" option, cost: low'}"""),
+         check=lambda out: out == ('the "best" option, cost: low', 0.5)),
 
     # --- decision parsing ---
     Case("decision_one_based", _decision('{"Answer": 2}', n=2),
-         check=lambda out: out[1] == 1),
+         check=lambda out: out == 1),
     Case("decision_out_of_range", _decision('{"Answer": 7}', n=2),
          error=AnswerRangeError),
     Case("decision_zero_under_one_based", _decision('{"Answer": 0}', n=2),
          error=AnswerRangeError),
     Case("decision_numeric_string", _decision('{"Answer": "2"}', n=3),
-         check=lambda out: out[1] == 1),
+         check=lambda out: out == 1),
     Case("decision_integral_float", _decision('{"Answer": 2.0}', n=2),
-         check=lambda out: out[1] == 1),
+         check=lambda out: out == 1),
     Case("decision_fractional", _decision('{"Answer": 1.5}'), error=SchemaError),
     Case("decision_missing_answer",
          _decision('{"Reasoning": "both options are bad"}'), error=SchemaError),
@@ -133,7 +143,7 @@ CASES = [
     Case("decision_list_answer", _decision('{"Answer": [1]}'), error=SchemaError),
     Case("decision_with_reasoning",
          _decision('{"Reasoning": "the bomber can be saved", "Answer": 2}'),
-         check=lambda out: out == ("the bomber can be saved", 1)),
+         check=lambda out: out == 1),
 
     # --- extraction parsing ---
     Case("extraction_clean",

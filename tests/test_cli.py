@@ -35,6 +35,7 @@ from decisionflow.gateway import (
 )
 from decisionflow.metrics import evaluate
 from decisionflow.testing import REFUSAL_TEXT, ScriptedTransport, fixture_script
+from test_mode_pins import PINNED, run_output_digest
 
 
 def make_config(tmp_path, name="config.json", **overrides) -> Path:
@@ -268,18 +269,6 @@ class TestRunCommand:
         assert len(list((out / "traces").glob("*.json"))) == 12
         assert "0 live calls" in capsys.readouterr().out
 
-    def test_replay_run_is_deterministic(self, tmp_path):
-        config_a = make_config(tmp_path, "a.json", out=str(tmp_path / "a"))
-        config_b = make_config(tmp_path, "b.json", out=str(tmp_path / "b"))
-        assert cli.main(["run", "--config", str(config_a)]) == 0
-        assert cli.main(["run", "--config", str(config_b)]) == 0
-        preds_a = (tmp_path / "a" / "predictions.jsonl").read_bytes()
-        preds_b = (tmp_path / "b" / "predictions.jsonl").read_bytes()
-        assert preds_a == preds_b
-        for trace_a in sorted((tmp_path / "a" / "traces").glob("*.json")):
-            trace_b = tmp_path / "b" / "traces" / trace_a.name
-            assert trace_a.read_bytes() == trace_b.read_bytes()
-
     def test_abstention_exit_code(self, tmp_path):
         config = make_config(
             tmp_path, mode="zero_shot",
@@ -312,17 +301,6 @@ class TestRunCommand:
         assert cli.main(["run", "--config", str(config), "--mode", "cot"]) == 0
         rows = load_predictions(tmp_path / "out" / "predictions.jsonl")
         assert all(r.mode == "cot" for r in rows)
-
-    def test_bundled_config_files_replay(self, tmp_path, monkeypatch):
-        monkeypatch.chdir(REPO_ROOT)
-        for name in ("replay_mta_joint.json", "replay_mta_cot_with_tools.json",
-                     "replay_dellma_decisionflow.json"):
-            out = tmp_path / name.replace(".json", "")
-            code = cli.main([
-                "run", "--config", str(CONFIG_DIR / name), "--out", str(out),
-            ])
-            assert code == 0, name
-            assert (out / "predictions.jsonl").exists()
 
     def test_self_consistency_attempt_indices_in_manifest(self, tmp_path,
                                                           monkeypatch):
@@ -983,6 +961,86 @@ class TestForkedReplay:
         assert done.returncode == 0, done.stderr
         assert "12 runs" in done.stdout
         assert done.stdout.splitlines()[-1] == "[]"
+
+
+# a record run over the scripted backend that SIGKILLs its own process at
+# the n-th send, or at the n-th rename of a transcript into the store
+KILLED_CHILD = """
+import os, signal, sys, threading
+from decisionflow import cli
+from decisionflow.testing import ScriptedTransport
+where, at, store = sys.argv[1], int(sys.argv[2]), sys.argv[3]
+count, lock = 0, threading.Lock()
+
+def count_towards_the_kill():
+    global count
+    with lock:
+        count += 1
+        if count == at:
+            os.kill(os.getpid(), signal.SIGKILL)
+
+class Transport(ScriptedTransport):
+    def send(self, request):
+        if where == "send":
+            count_towards_the_kill()
+        return super().send(request)
+
+replace = os.replace
+
+def dying_replace(src, dst):
+    if where == "rename" and os.fspath(dst).startswith(store):
+        count_towards_the_kill()
+    return replace(src, dst)
+
+os.replace = dying_replace
+cli._make_transport = lambda resolved: Transport()
+sys.exit(cli.main(sys.argv[4:]))
+"""
+
+
+class TestRecordResumesAfterAKill:
+    """A record run killed with SIGKILL at any point resumes exactly: the
+    same command sends only the missing digests, each once, and gives the
+    pinned output of an uninterrupted replay."""
+
+    @pytest.mark.parametrize("where, at, c", [
+        ("send", 1, 1), ("send", 40, 1), ("send", 90, 1), ("send", 40, 3),
+        ("rename", 20, 1)])
+    def test_rerun_sends_the_missing_digests(self, where, at, c, tmp_path,
+                                             monkeypatch):
+        store = tmp_path / "store"
+        config = str(make_config(tmp_path, gateway_mode="record",
+                                 transcripts=str(store), max_concurrency=c))
+        env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src"),
+               "PYTHONDONTWRITEBYTECODE": "1"}
+        killed = subprocess.run(
+            [sys.executable, "-c", KILLED_CHILD, where, str(at), str(store),
+             "run", "--config", config],
+            cwd=REPO_ROOT, env=env, capture_output=True, timeout=60)
+        assert killed.returncode == -signal.SIGKILL, killed.stderr
+        before = set(TranscriptStore(store).digests())
+        strays = sorted(store.rglob("*.tmp"))
+        if c == 1:
+            assert len(before) == at - 1
+            assert len(strays) == (where == "rename")
+
+        sends, lock = [], threading.Lock()
+
+        class Logging(ScriptedTransport):
+            def send(self, request):
+                with lock:
+                    sends.append(request.digest)
+                return super().send(request)
+
+        monkeypatch.setattr(cli, "_make_transport", lambda resolved: Logging())
+        assert cli.main(["run", "--config", config]) == 0
+        after = set(TranscriptStore(store).digests())
+        assert len(after) == 90
+        assert sorted(sends) == sorted(after - before)
+        assert run_output_digest(tmp_path / "out") == PINNED["decisionflow"]
+        # a temporary file the kill left stays, and verification skips it
+        assert sorted(store.rglob("*.tmp")) == strays
+        assert cli.main(["replay-verify", "--config", config]) == 0
 
 
 class TestEvalCommand:

@@ -6,6 +6,7 @@ so the numbers asserted here are frozen by the script, not by chance.
 
 from __future__ import annotations
 
+import gc
 import itertools
 import json
 import os
@@ -22,7 +23,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 from tempfile import TemporaryDirectory
-from types import SimpleNamespace
+from types import FrameType, SimpleNamespace
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -63,6 +64,7 @@ from decisionflow.pipeline import (
     usage_totals,
 )
 from decisionflow.testing import REFUSAL_TEXT, ScriptedTransport, fixture_script
+from parser_corpus import CASES, run_case
 
 EPS = 1e-9
 
@@ -151,7 +153,9 @@ class TestStructuredRun:
         assert outcome.answer == 1
         assert outcome.utilities[0] == pytest.approx(0.625, abs=EPS)
         assert outcome.utilities[1] == pytest.approx(1.62, abs=EPS)
-        assert outcome.rationale
+        rationale = next(e["payload"] for e in outcome.trace
+                         if (e["kind"], e["name"]) == ("parsed", "rationale"))
+        assert rationale
         assert bomber_problem.actions[outcome.answer] == "Treat the bomber"
 
     def test_stage_order_and_models(self, ctx_factory, bomber_problem):
@@ -259,7 +263,6 @@ class TestReplayAndConcurrency:
             json.dumps(recorded.trace, sort_keys=True)
         assert replay_ctx.gateway.live_calls == 0
         assert replayed.utilities == recorded.utilities
-        assert replayed.rationale == recorded.rationale
 
     def test_replay_miss_names_digest(self, ctx_factory, bomber_problem):
         ctx = ctx_factory("decisionflow", gateway_mode="replay")
@@ -330,7 +333,6 @@ class TestReplayAndConcurrency:
         outcome = run_problem(bomber_problem, ctx)
         assert outcome.answer == full.answer
         assert outcome.utilities == full.utilities
-        assert outcome.rationale == ""
         assert "rationale" not in stage_tags(outcome.trace)
         assert ctx.gateway.live_calls == 0
 
@@ -345,17 +347,17 @@ class TestBaselines:
             for i in range(bomber_problem.n_actions)
         )
         assert outcome.utilities == expected
-        assert outcome.rationale == ""
         prompt_event = next(e for e in outcome.trace if e["kind"] == "prompt")
         assert "(1) Treat the young woman" in prompt_event["payload"]
         assert "(2) Treat the bomber" in prompt_event["payload"]
 
-    def test_cot_keeps_reasoning_as_rationale(self, ctx_factory,
-                                              bomber_problem):
+    def test_cot_keeps_reasoning_in_its_completion(self, ctx_factory,
+                                                   bomber_problem):
         ctx = ctx_factory("cot")
         outcome = run_problem(bomber_problem, ctx)
-        assert outcome.rationale
         assert stage_tags(outcome.trace) == ["cot"]
+        [completion] = completion_events(outcome.trace)
+        assert json.loads(completion["payload"]["text"])["Reasoning"]
 
     def test_self_consistency_attempts_and_temperature(self, ctx_factory,
                                                        bomber_problem):
@@ -426,7 +428,8 @@ class TestBaselines:
         outcome = run_problem(surgery_problem, ctx)
         assert outcome.answer == 0
         assert surgery_problem.actions[0] == "Proceed with surgery for Patient A"
-        assert "Step 1" in outcome.rationale
+        [completion] = completion_events(outcome.trace)
+        assert "Step 1" in completion["payload"]["text"]
         assert outcome.utilities == (1.0, 0.0)
 
 
@@ -1005,6 +1008,57 @@ class TestForkMap:
                               capture_output=True, text=True, timeout=60)
         assert (done.returncode, done.stdout) == (
             0, "cannot load this reply\n"), done.stderr
+
+
+class TestNoCyclicGarbage:
+    """Parsing and running leave no reference cycle that holds a package
+    object or frame, so each run's objects die with it rather than waiting
+    for the cyclic collector. Repaired completions are the case to watch:
+    an error kept past its except block holds its own traceback's frame."""
+
+    @pytest.fixture
+    def cyclic_garbage(self):
+        """A function listing by name the package objects and frames that
+        have gone into reference cycles since the fixture began."""
+        package = str(Path(pipeline.__file__).parent)
+
+        def found():
+            gc.collect()
+            return [obj.f_code.co_name if isinstance(obj, FrameType)
+                    else type(obj).__name__ for obj in gc.garbage
+                    if type(obj).__module__.startswith("decisionflow")
+                    or isinstance(obj, FrameType)
+                    and obj.f_code.co_filename.startswith(package)]
+
+        gc.collect()
+        gc.set_debug(gc.DEBUG_SAVEALL)  # every cycle lands in gc.garbage
+        try:
+            yield found
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+            gc.collect()
+
+    def test_parser_corpus(self, cyclic_garbage):
+        for case in CASES:
+            run_case(case)
+        assert cyclic_garbage() == []
+
+    def test_replay_of_repaired_completions(self, ctx_factory, mta_problems,
+                                            cyclic_garbage):
+        def trailing_commas(request):
+            text = fixture_script(request)
+            return text[:-1] + ",}" if request.stage_tag == "weigh" else text
+
+        run_experiment(mta_problems, ctx_factory(script=trailing_commas))
+        ctx = ctx_factory(gateway_mode="replay")
+        records = run_experiment(mta_problems, ctx)
+        assert any(event["kind"] == "completion"
+                   and event["payload"]["text"].endswith(",}")
+                   for event in records[0].trace)
+        assert not any(record.abstained for record in records)
+        del records
+        assert cyclic_garbage() == []
 
 
 class TestKernelSweep:
