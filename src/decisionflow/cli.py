@@ -9,6 +9,7 @@ gateway failures, corrupt or missing transcripts).
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import logging
@@ -346,6 +347,9 @@ def cmd_replay_verify(args) -> int:
     store = resolved["transcripts"]
     if not Path(store).is_dir():
         raise ValueError(f"transcript store {store} is not a directory")
+    for stray in sorted(Path(store).rglob("*.tmp")):
+        print(f"warning: {stray} is left from an interrupted write; it is "
+              "safe to delete", file=sys.stderr)
     checked = TranscriptStore(store).verify()
     print(f"{checked} transcripts verified in {store}")
     if resolved["dataset"] is None:
@@ -395,7 +399,12 @@ def _add_config_flags(parser, *, writes=True):
     parser.add_argument("--max-tokens", type=int)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: its tree refers back
+    to itself, so one built per call would leave a reference cycle behind.
+    Each subcommand is bound to the ``cmd_*`` function the module holds at
+    the first call."""
     parser = _Parser(prog="decisionflow",
                      description="Structured decision modeling pipeline")
     parser.add_argument("-v", "--verbose", action="store_true",

@@ -92,6 +92,22 @@ def parse_constraint(text: str) -> Constraint:
     return Constraint(text)
 
 
+def label_fault(labels) -> str | None:
+    """What keeps ``labels`` from being a problem's actions, or None: there
+    must be at least 2, each a non-blank string, and none repeated (the
+    first repeat is named). Datasets and `DecisionProblem` both apply it."""
+    try:
+        blank = len(labels) < 2 or not all(map(str.strip, labels))
+    except TypeError:  # str.strip of a label that is not a string
+        blank = True
+    if blank:
+        return "must be a list of at least 2 non-empty strings"
+    if len(set(labels)) < len(labels):
+        repeat = next(label for i, label in enumerate(labels) if label in labels[:i])
+        return f"repeats the label {repeat!r}"
+    return None
+
+
 @dataclass(frozen=True)
 class DecisionProblem:
     """One decision instance: a scenario and the candidate actions."""
@@ -109,16 +125,8 @@ class DecisionProblem:
             object.__setattr__(self, "actions", tuple(self.actions))
         if type(self.constraints) is not tuple:
             object.__setattr__(self, "constraints", tuple(self.constraints))
-        actions = self.actions
-        if len(actions) < 2:
-            raise ValueError("a decision problem needs at least two actions")
-        try:
-            if not all(map(str.strip, actions)):
-                raise ValueError("action labels must be non-empty")
-        except TypeError:  # str.strip of a label that is not a string
-            raise ValueError("action labels must be strings") from None
-        if len(set(actions)) != len(actions):
-            raise ValueError("action labels must be distinct")
+        if fault := label_fault(self.actions):
+            raise ValueError(f"actions {fault}")
 
     @property
     def n_actions(self) -> int:

@@ -29,7 +29,7 @@ from itertools import repeat
 from json.encoder import c_make_encoder, encode_basestring
 from pathlib import Path
 
-from .core import Constraint, DecisionProblem, parse_constraint
+from .core import Constraint, DecisionProblem, label_fault, parse_constraint
 from .errors import DatasetError
 
 DMA_VALUES = (
@@ -114,20 +114,6 @@ def _record(cls, values: dict):
     return record
 
 
-def _label_fault(labels: list, values=None) -> str | None:
-    """Two or more non-blank strings, none repeated: the first repeat is named."""
-    try:
-        blank = len(labels) < 2 or not all(map(str.strip, labels))
-    except TypeError:  # str.strip of a label that is not a string
-        blank = True
-    if blank:
-        return "must be a list of at least 2 non-empty strings"
-    if len(set(labels)) < len(labels):
-        repeat = next(label for i, label in enumerate(labels) if label in labels[:i])
-        return f"repeats the label {repeat!r}"
-    return None
-
-
 def _gold_fault(labels: str):
     """gold indexes the labels of the field ``labels``."""
     return lambda gold, values: (
@@ -139,7 +125,7 @@ def _gold_fault(labels: str):
 _MTA_FIELDS = (
     ("record_id", "id", str, None),
     ("scenario", "scenario", str, None),  # its text is checked after the others
-    ("choices", "choices", list, _label_fault),
+    ("choices", "choices", list, lambda labels, _: label_fault(labels)),
     ("dma", "dma", str, lambda dma, _: f"unknown dma {dma!r}" if dma not in DMA_VALUES else None),
     ("alignment", "alignment", str, lambda alignment, _:
      f"alignment must be one of {ALIGNMENTS}" if alignment not in ALIGNMENTS else None),
@@ -153,7 +139,7 @@ _DELLMA_FIELDS = (
      if domain not in DELLMA_DOMAINS else None),
     ("context", "context", str, lambda text, _: "context must be non-empty"
      if not text.strip() else None),
-    ("actions", "actions", list, lambda labels, _: _label_fault(labels) or (
+    ("actions", "actions", list, lambda labels, _: label_fault(labels) or (
         f"{len(labels)} actions exceeds the supported maximum of 7"
         if len(labels) > 7 else None)),
     ("gold", "gold", int, _gold_fault("actions")),

@@ -10,12 +10,15 @@ syntactic repairs (trailing commas, bare keys, single quotes), each logged.
 Fence blocks are the odd pieces of ``text.split("```")`` that a later fence
 closes, less a leading ``json`` tag and leading whitespace. The object in a
 fence is preferred over bare braces, and its first candidate is decoded
-with ``json.JSONDecoder.raw_decode`` before any walk. Only when that fails
-does a balanced-brace walk run; it jumps between the five characters that
-can change its state (braces, both quotes and backslash) rather than
-stepping through every character. Semantic guessing is out of scope: a
-completion that does not carry the expected fields fails with a classified
-error.
+with ``json.JSONDecoder.raw_decode`` before any walk. One pattern,
+``STRING``, decides where strings are: a string opens at either quote, a
+backslash in it escapes the next character, and a string that never closes
+runs to the end of the text. The balanced-brace walk steps from string or
+brace to the next, and each repair is a substitution that puts every string
+back as it was (the single-quote repair converts the closed single-quoted
+ones), so braces and repairs count only outside strings. Semantic guessing
+is out of scope: a completion that does not carry the expected fields fails
+with a classified error.
 """
 
 from __future__ import annotations
@@ -46,14 +49,12 @@ log = logging.getLogger(__name__)
 STAGES = tuple(tag for tag in STAGE_TAGS if tag != "self_consistency")
 
 PLACEHOLDER_RE = re.compile(r"\{([a-z][a-z0-9_]*)\}")
-# the characters that can change the state of the balanced-brace walk
-WALK_RE = re.compile(r"""[{}"'\\]""")
-# the repairs match a quoted string first and put it back unchanged, so
-# that they rewrite only the text outside strings
-QUOTED = r"""("[^"\\]*(?:\\.[^"\\]*)*"|'[^'\\]*(?:\\.[^'\\]*)*')"""
-TRAILING_COMMA_RE = re.compile(QUOTED + r"|,(\s*[}\]])", re.S)
-BARE_KEY_RE = re.compile(QUOTED + r"|([{,]\s*)([A-Za-z_][A-Za-z0-9_]*)(\s*:)",
-                         re.S)
+# where the strings are, for the walk and every repair: group 1 is a whole
+# string, group 2 the body of a closed single-quoted one
+STRING = r"""("[^"\\]*(?:\\.[^"\\]*)*"|'([^'\\]*(?:\\.[^'\\]*)*)'|["'].*)"""
+WALK_RE = re.compile(STRING + "|[{}]", re.S)
+# in a single-quoted body: an escape, kept as it is, or a double quote
+BODY_QUOTE_RE = re.compile(r'(\\.)|"', re.S)
 
 
 @dataclass(frozen=True)
@@ -105,75 +106,40 @@ def render_stage_prompt(template: StageTemplate, context: Mapping[str, object]) 
 
 
 def _first_balanced_object(text: str) -> str | None:
-    """Slice of text from the first '{' to its string-aware matching '}'.
-
-    Inside a string a backslash escapes the character after it; outside one
-    it is an ordinary character.
-    """
+    """Slice of text from the first '{' to its matching '}', stepping from
+    string or brace to the next, so that braces in strings do not count."""
     start = text.find("{")
     if start < 0:
         return None
     depth = 0
-    quote = ""  # the quote of the open string; empty outside a string
-    escaped = -1  # the position a backslash in a string escapes
     for match in WALK_RE.finditer(text, start):
-        pos = match.start()
-        if pos == escaped:
-            continue
-        ch = text[pos]
-        if quote:
-            if ch == "\\":
-                escaped = pos + 1
-            elif ch == quote:
-                quote = ""
-            continue
-        if ch in "\"'":
-            quote = ch
-        elif ch == "{":
+        if match[0] == "{":
             depth += 1
-        elif ch == "}":
+        elif match[0] == "}":
             depth -= 1
             if depth == 0:
-                return text[start : pos + 1]
+                return text[start : match.end()]
     return None
 
 
-def _single_to_double_quotes(text: str) -> str:
-    """Swap single-quoted strings for double-quoted ones, character-wise."""
-    out = []
-    in_string = False
-    quote = ""
-    escaped = False
-    for ch in text:
-        if in_string:
-            if escaped:
-                escaped = False
-                out.append(ch)
-            elif ch == "\\":
-                escaped = True
-                out.append(ch)
-            elif ch == quote:
-                in_string = False
-                out.append('"')
-            elif ch == '"' and quote == "'":
-                out.append('\\"')
-            else:
-                out.append(ch)
-            continue
-        if ch in "\"'":
-            in_string = True
-            quote = ch
-            out.append('"')
-        else:
-            out.append(ch)
-    return "".join(out)
+def _double_quoted(match: re.Match) -> str:
+    """A closed single-quoted string as a double-quoted one; any other
+    string as it stands."""
+    if match[2] is None:
+        return match[1]
+    return '"' + BODY_QUOTE_RE.sub(lambda m: m[1] or '\\"', match[2]) + '"'
 
 
+# (note, pattern, replacement): each pattern matches a string first and puts
+# it back, so that a repair rewrites only the text outside strings
 REPAIR_PASSES = (
-    ("removed trailing commas", lambda s: TRAILING_COMMA_RE.sub(r"\1\2", s)),
-    ("quoted bare keys", lambda s: BARE_KEY_RE.sub(
-        lambda m: m[1] or f'{m[2]}"{m[3]}"{m[4]}', s)),
-    ("converted single quotes to double quotes", _single_to_double_quotes),
+    ("removed trailing commas",
+     re.compile(STRING + r"|,(\s*[}\]])", re.S), r"\1\3"),
+    ("quoted bare keys",
+     re.compile(STRING + r"|([{,]\s*)([A-Za-z_][A-Za-z0-9_]*)(\s*:)", re.S),
+     lambda m: m[1] or f'{m[3]}"{m[4]}"{m[5]}'),
+    ("converted single quotes to double quotes",
+     re.compile(STRING, re.S), _double_quoted),
 )
 
 
@@ -215,41 +181,45 @@ def extract_json_block(text: str) -> tuple[str, list[str]]:
     return _walk_json_block(text)
 
 
+def _candidates(text: str):
+    """The first balanced object of each fence block, then, once those have
+    all been tried, that of the whole text unless a block gave it."""
+    fenced = [candidate for candidate in map(_first_balanced_object,
+                                              _fence_blocks(text))
+              if candidate is not None]
+    yield from fenced
+    whole = _first_balanced_object(text)
+    if whole is not None and whole not in fenced:
+        yield whole
+
+
 def _walk_json_block(text: str) -> tuple[str, list[str]]:
     """`extract_json_block` by balanced walks over every candidate, with the
     repair passes applied to each in turn."""
-    candidates = []
-    for block in _fence_blocks(text):
-        inner = _first_balanced_object(block)
-        if inner is not None:
-            candidates.append(inner)
-    whole = _first_balanced_object(text)
-    if whole is not None and whole not in candidates:
-        candidates.append(whole)
-    if not candidates:
-        raise OutputParseError("no JSON object found in completion")
-
     last_error = None
-    for candidate in candidates:
-        attempt = candidate
-        repairs: list[str] = []
+    for candidate in _candidates(text):
         try:
-            json.loads(attempt)
-            return attempt, []
+            json.loads(candidate)
+            return candidate, []
         except json.JSONDecodeError as err:
             last_error = str(err)  # not err: its traceback would make a cycle
-        for note, fix in REPAIR_PASSES:
-            fixed = fix(attempt)
-            if fixed != attempt:
-                repairs.append(note)
-                attempt = fixed
+        attempt, repairs = candidate, []
+        for note, pattern, replacement in REPAIR_PASSES:
+            fixed = pattern.sub(replacement, attempt)
+            if fixed == attempt:
+                continue  # the same text fails as it did
+            repairs.append(note)
+            attempt = fixed
             try:
                 json.loads(attempt)
-                for applied in repairs:
-                    log.debug("json repair applied: %s", applied)
-                return attempt, repairs
             except json.JSONDecodeError as err:
                 last_error = str(err)
+                continue
+            for applied in repairs:
+                log.debug("json repair applied: %s", applied)
+            return attempt, repairs
+    if last_error is None:
+        raise OutputParseError("no JSON object found in completion")
     raise OutputParseError(f"completion contains no parseable JSON object: {last_error}")
 
 

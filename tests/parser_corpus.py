@@ -96,6 +96,21 @@ CASES = [
     Case("block_fence_preferred_over_prose_braces",
          _block('ignore {this}\n```json\n{"Answer": 1}\n```'),
          check=lambda out: out[0] == '{"Answer": 1}'),
+    # a single-quoted string keeps its escapes; JSON has no \' escape
+    Case("block_single_quoted_escaped_double_quote",
+         _block(r"""{'Answer': 'say \"hi\"'}"""),
+         check=lambda out: out == (r'{"Answer": "say \"hi\""}',
+                                   ["converted single quotes to double quotes"])),
+    Case("block_single_quoted_escaped_single_quote",
+         _block(r"{'Answer': 'it\'s'}"), error=OutputParseError),
+    Case("block_single_quoted_double_quote",
+         _block("""{'Answer': 'the "best" one'}"""),
+         check=lambda out: out == (r'{"Answer": "the \"best\" one"}',
+                                   ["converted single quotes to double quotes"])),
+    # a string that never closes runs to the end, braces and all
+    Case("block_single_quoted_never_closes",
+         _block("{'Answer': 1, 'Reasoning': 'it never ends}"),
+         error=OutputParseError),
 
     # --- weight parsing ---
     Case("weight_clean", _weight('{"Explanation": "decisive", "Weight": 0.9}'),

@@ -1393,6 +1393,22 @@ class TestReplayVerifyCommand:
         assert capsys.readouterr().err == (
             f"error: transcript {stray} has a malformed request: 'request'\n")
 
+    def test_stray_temporary_is_named_and_passes(self, tmp_path, capsys):
+        """A write killed before its rename leaves a .tmp file, which no read
+        looks at: it is named, and the store still verifies."""
+        store_dir = tmp_path / "store"
+        shutil.copytree(CORPUS_DIR, store_dir)
+        original = min(store_dir.glob("*/*.json"))
+        stray = original.with_name(f"{original.name}.4242-17.tmp")
+        stray.write_bytes(original.read_bytes()[:40])
+        assert cli.main([
+            "replay-verify", "--transcripts", str(store_dir),
+        ]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == (f"warning: {stray} is left from an interrupted "
+                                "write; it is safe to delete\n")
+        assert captured.out == f"311 transcripts verified in {store_dir}\n"
+
     def test_truncated_transcript_names_its_file(self, tmp_path, capsys,
                                                  monkeypatch):
         monkeypatch.setattr(cli, "_make_transport",

@@ -327,17 +327,20 @@ class TestTypes:
         assert policy.label() == "epsilon=1.0"
 
     def test_problem_needs_two_distinct_actions(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^actions must be a list of at "
+                           "least 2 non-empty strings$"):
             DecisionProblem("p", "scenario", ("only one",))
-        with pytest.raises(ValueError):
-            DecisionProblem("p", "scenario", ("same", "same"))
+        with pytest.raises(ValueError,
+                           match="^actions repeats the label 'same'$"):
+            DecisionProblem("p", "scenario", ("same", "other", "same"))
 
     @pytest.mark.parametrize("actions,rule", [
         ("ab", "a sequence of labels, not a string"),
         ("", "a sequence of labels, not a string"),
-        ((1, 2), "labels must be strings"),
-        (["a", None], "labels must be strings"),
-        ((b"a", b"b"), "labels must be strings"),
+        ((1, 2), "non-empty strings"),
+        (["a", None], "non-empty strings"),
+        ((b"a", b"b"), "non-empty strings"),
+        (("a", " "), "non-empty strings"),
     ])
     def test_problem_actions_are_label_strings(self, actions, rule):
         with pytest.raises(ValueError, match=rule):

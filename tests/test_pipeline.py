@@ -29,8 +29,8 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import CORPUS_DIR, REPO_ROOT
-from decisionflow import gateway, pipeline
+from conftest import CONFIG_DIR, CORPUS_DIR, REPO_ROOT
+from decisionflow import cli, gateway, pipeline
 from decisionflow.core import (
     DecisionProblem,
     FilterPolicy,
@@ -1058,6 +1058,16 @@ class TestNoCyclicGarbage:
                    for event in records[0].trace)
         assert not any(record.abstained for record in records)
         del records
+        assert cyclic_garbage() == []
+
+    def test_cli_run(self, tmp_path, monkeypatch, cyclic_garbage):
+        """The command line adds none: its parser is built once."""
+        monkeypatch.chdir(REPO_ROOT)
+        for _ in range(2):
+            assert cli.main([
+                "run", "--config",
+                str(CONFIG_DIR / "replay_mta_decisionflow.json"),
+                "--out", str(tmp_path / "out")]) == 0
         assert cyclic_garbage() == []
 
 

@@ -11,7 +11,12 @@ from hypothesis import strategies as st
 from conftest import CORPUS_DIR
 from decisionflow import stages
 from decisionflow.core import NOT_MENTIONED, AttributeTable
-from decisionflow.errors import DecisionFlowError, SchemaError, TemplateError
+from decisionflow.errors import (
+    DecisionFlowError,
+    OutputParseError,
+    SchemaError,
+    TemplateError,
+)
 from decisionflow.stages import (
     STAGES,
     StageTemplate,
@@ -483,3 +488,184 @@ class TestFencesAndWalk:
             for piece in [text, *blocks]:
                 assert stages._first_balanced_object(piece) == \
                     old_first_balanced_object(piece), piece
+
+
+# the walk and the repairs before one pattern decided where strings are:
+# the references the pattern-driven code must match
+OLD_QUOTED = r"""("[^"\\]*(?:\\.[^"\\]*)*"|'[^'\\]*(?:\\.[^'\\]*)*')"""
+OLD_TRAILING_COMMA_RE = re.compile(OLD_QUOTED + r"|,(\s*[}\]])", re.S)
+OLD_BARE_KEY_RE = re.compile(
+    OLD_QUOTED + r"|([{,]\s*)([A-Za-z_][A-Za-z0-9_]*)(\s*:)", re.S)
+
+
+def old_single_to_double_quotes(text):
+    out = []
+    in_string = False
+    quote = ""
+    escaped = False
+    for ch in text:
+        if in_string:
+            if escaped:
+                escaped = False
+                out.append(ch)
+            elif ch == "\\":
+                escaped = True
+                out.append(ch)
+            elif ch == quote:
+                in_string = False
+                out.append('"')
+            elif ch == '"' and quote == "'":
+                out.append('\\"')
+            else:
+                out.append(ch)
+            continue
+        if ch in "\"'":
+            in_string = True
+            quote = ch
+            out.append('"')
+        else:
+            out.append(ch)
+    return "".join(out)
+
+
+OLD_REPAIR_PASSES = (
+    ("removed trailing commas",
+     lambda s: OLD_TRAILING_COMMA_RE.sub(r"\1\2", s)),
+    ("quoted bare keys", lambda s: OLD_BARE_KEY_RE.sub(
+        lambda m: m[1] or f'{m[2]}"{m[3]}"{m[4]}', s)),
+    ("converted single quotes to double quotes", old_single_to_double_quotes),
+)
+
+
+def old_walk_json_block(text):
+    candidates = []
+    for block in OLD_FENCE_RE.findall(text):
+        inner = old_first_balanced_object(block)
+        if inner is not None:
+            candidates.append(inner)
+    whole = old_first_balanced_object(text)
+    if whole is not None and whole not in candidates:
+        candidates.append(whole)
+    if not candidates:
+        raise OutputParseError("no JSON object found in completion")
+
+    last_error = None
+    for candidate in candidates:
+        attempt = candidate
+        repairs = []
+        try:
+            json.loads(attempt)
+            return attempt, []
+        except json.JSONDecodeError as err:
+            last_error = str(err)
+        for note, fix in OLD_REPAIR_PASSES:
+            fixed = fix(attempt)
+            if fixed != attempt:
+                repairs.append(note)
+                attempt = fixed
+            try:
+                json.loads(attempt)
+                return attempt, repairs
+            except json.JSONDecodeError as err:
+                last_error = str(err)
+    raise OutputParseError(
+        f"completion contains no parseable JSON object: {last_error}")
+
+
+def old_parse_json_payload(text):
+    block, repairs = old_walk_json_block(text)
+    return json.loads(block), repairs
+
+
+def result_or_error(parse, text):
+    """What parse returns, or the class and text of the error it raises."""
+    try:
+        return parse(text)
+    except DecisionFlowError as err:
+        return type(err), str(err)
+
+
+# the pieces the string pattern and the repairs turn on, fence markers
+# included
+REPAIR_TOKENS = ["'", '"', "\\", "\\'", '\\"', "{", "}", "[", "]", ",", ":",
+                 " ", "\n", "Answer", "_k1", "1", "a", "```", "```json"]
+token_texts = st.lists(st.sampled_from(REPAIR_TOKENS), max_size=30).map("".join)
+prose_tokens = st.lists(st.sampled_from(REPAIR_TOKENS), max_size=4).map("".join)
+
+
+# keys and values that hold what the pattern must get right: both quotes,
+# a backslash, braces, commas and colons
+NEAR_KEYS = st.sampled_from(["Answer", "_k1", "it's", 'say "x"', "{a}", ""])
+NEAR_SCALARS = st.sampled_from([None, 1, -2.5, "", "it's", 'a "b"', "a,}",
+                                "{x}: y", "back\\slash", "new\nline", [], {}])
+NEAR_VALUES = (NEAR_SCALARS | st.lists(NEAR_SCALARS, max_size=3)
+               | st.dictionaries(NEAR_KEYS, NEAR_SCALARS, max_size=2))
+
+
+@st.composite
+def near_json(draw):
+    """A JSON object written as models get it wrong: bare keys, single
+    quotes and trailing commas, maybe a stray token, in prose or fences."""
+    obj = draw(st.dictionaries(NEAR_KEYS, NEAR_VALUES, max_size=4))
+    text = json.dumps(obj, indent=draw(st.sampled_from([None, 2])))
+    flags = draw(st.integers(0, 15))
+    if flags & 1:
+        text = re.sub(r'"([A-Za-z_][A-Za-z0-9_]*)":', r"\1:", text)
+    if flags & 2:
+        text = text.replace('"', "'")
+    if flags & 4:
+        text = re.sub(r"\s*([}\]])", r",\1", text)
+    if flags & 8:
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + draw(st.sampled_from(REPAIR_TOKENS)) + text[at:]
+    layout = draw(st.sampled_from(["bare", "fence", "fences"]))
+    if layout == "fence":
+        text = f"```json\n{text}\n```"
+    elif layout == "fences":
+        text = f"```\n{draw(prose_tokens)}\n```{draw(prose_tokens)}" \
+               f"```json\n{text}\n```"
+    return draw(prose_tokens) + text + draw(prose_tokens)
+
+
+class TestOneStringPattern:
+    """The walk and the repairs, driven by one string pattern, against the
+    character walks and per-repair patterns they replaced."""
+
+    @settings(derandomize=True, max_examples=2000, deadline=None)
+    @given(near_json() | token_texts)
+    @example("{'Answer': 'it\\'s'}")
+    @example("""{'Answer': 'say \\"hi\\" and "bye"'}""")
+    @example("{'Answer': 1, 'Reasoning': 'never closes}")
+    @example('```json\n{"a": 1,}\n``` {"b": 2}')
+    def test_results_and_errors_match(self, text):
+        old = result_or_error(old_walk_json_block, text)
+        assert result_or_error(extract_json_block, text) == old
+        assert result_or_error(stages._walk_json_block, text) == old
+        assert result_or_error(parse_json_payload, text) == \
+            result_or_error(old_parse_json_payload, text)
+        # on a slice the walk returns, which holds no unclosed string, each
+        # pass rewrites as the pass it replaced did
+        attempt = old_first_balanced_object(text)
+        if attempt is None:
+            return
+        for (note, pattern, replacement), (old_note, fix) in zip(
+                stages.REPAIR_PASSES, OLD_REPAIR_PASSES, strict=True):
+            assert note == old_note
+            fixed = pattern.sub(replacement, attempt)
+            assert fixed == fix(attempt)
+            attempt = fixed
+
+    def test_the_whole_text_is_walked_after_the_fences_fail(self,
+                                                            monkeypatch):
+        walked = []
+        walk = stages._first_balanced_object
+        monkeypatch.setattr(stages, "_first_balanced_object",
+                            lambda text: walked.append(text) or walk(text))
+        text = 'see {\n```json\n{"Answer": 1,}\n```'
+        assert extract_json_block(text) == ('{"Answer": 1}',
+                                            ["removed trailing commas"])
+        assert walked == ['{"Answer": 1,}\n']
+        walked.clear()
+        text = 'see {"Answer": 2}\n```json\n{"Answer": 1 2}\n```'
+        assert extract_json_block(text) == ('{"Answer": 2}', [])
+        assert walked == ['{"Answer": 1 2}\n', text]
