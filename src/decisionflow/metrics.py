@@ -1,9 +1,11 @@
 """Evaluation metrics and report rendering.
 
-Accuracy is percent correct with abstentions counted as incorrect. MTA
-evaluations break out the two alignment directions and report their average
-and the signed high-minus-low gap; multi-action evaluations break out
-accuracy by the number of candidate actions. Reports are written twice: a
+Accuracy is percent correct with abstentions counted as incorrect. Every
+figure is the accuracy per repeat over one group of records, given as its
+mean and sample standard deviation. MTA evaluations break out the two
+alignment directions, their average and the signed high-minus-low gap, and
+each DMA on each side it has; multi-action evaluations break out accuracy
+by the number of candidate actions. Reports are written twice: a
 canonical full-precision report.json and a human-readable report.md whose
 numbers are rounded to two decimals with half-up rounding.
 """
@@ -87,10 +89,6 @@ def format_2dp(value: float) -> str:
                                             rounding=ROUND_HALF_UP))
 
 
-def _is_correct(prediction: PredictionRow, gold: int) -> bool:
-    return prediction.answer is not None and prediction.answer == gold
-
-
 def _group_predictions(predictions, records_by_id):
     """Validate and bucket predictions by repeat; full coverage per repeat,
     and each answer an index of its record's choices or actions."""
@@ -130,105 +128,67 @@ def _group_predictions(predictions, records_by_id):
     return modes.pop(), dict(sorted(by_repeat.items()))
 
 
-def _per_repeat_accuracy(by_repeat, records_by_id, ids) -> list[float]:
-    ids = list(ids)
-    return [
-        accuracy_percent(
-            _is_correct(bucket[i], records_by_id[i].gold) for i in ids
-        )
-        for bucket in by_repeat.values()
-    ]
-
-
 def evaluate(predictions, records, kind: str) -> dict:
     """Score predictions against a dataset; returns the report dictionary.
 
-    kind selects the breakdown: "mta" groups by directive alignment, and
-    "dellma" groups by the number of candidate actions.
+    Every figure is the accuracy per repeat over one group of records, as
+    its mean and sample standard deviation. kind selects the breakdown:
+    "mta" groups by directive alignment, and "dellma" groups by the number
+    of candidate actions.
     """
     if kind not in DATASET_KINDS:
         raise ValueError(f"unknown dataset kind {kind!r}")
     records_by_id = {r.record_id: r for r in records}
     mode, by_repeat = _group_predictions(predictions, records_by_id)
-    repeats = list(by_repeat)
-    all_ids = sorted(records_by_id)
 
-    overall = repeat_stats(_per_repeat_accuracy(by_repeat, records_by_id,
-                                                all_ids))
-    abstentions = sum(
-        1 for bucket in by_repeat.values()
-        for p in bucket.values() if p.answer is None
-    )
+    def accuracies(keep) -> list[float]:
+        """Accuracy per repeat over the records that keep selects; a None
+        answer never equals a gold index."""
+        kept = [r for r in records_by_id.values() if keep(r)]
+        return [accuracy_percent(bucket[r.record_id].answer == r.gold
+                                 for r in kept)
+                for bucket in by_repeat.values()]
+
+    def stats(values) -> dict:
+        return asdict(repeat_stats(values))
+
     report = {
         "mode": mode,
         "dataset_kind": kind,
         "n_problems": len(records_by_id),
-        "repeats": repeats,
+        "repeats": list(by_repeat),
         "n_predictions": sum(len(b) for b in by_repeat.values()),
-        "abstentions": abstentions,
-        "overall_accuracy": asdict(overall),
+        "abstentions": sum(1 for bucket in by_repeat.values()
+                           for p in bucket.values() if p.answer is None),
+        "overall_accuracy": stats(accuracies(lambda r: True)),
     }
     if kind == "mta":
-        report["alignment"] = _alignment_section(by_repeat, records_by_id)
-        report["per_attribute"] = _per_attribute_section(by_repeat,
-                                                         records_by_id)
+        pairs = {(r.dma, r.alignment) for r in records_by_id.values()}
+        report["alignment"] = None
+        if {"high", "low"} <= {side for _, side in pairs}:
+            high = accuracies(lambda r: r.alignment == "high")
+            low = accuracies(lambda r: r.alignment == "low")
+            bias = stats(map(bias_score, high, low))
+            report["alignment"] = {
+                "high": stats(high),
+                "low": stats(low),
+                "average": stats(map(average_accuracy, high, low)),
+                "bias": {**bias, "absolute_mean": abs(bias["mean"])},
+            }
+        report["per_attribute"] = {
+            dma: {side: stats(accuracies(
+                      lambda r: (r.dma, r.alignment) == (dma, side)))
+                  for side in ("high", "low") if (dma, side) in pairs}
+            for dma in sorted({dma for dma, _ in pairs})
+        }
     else:
-        report["action_groups"] = _action_group_section(by_repeat,
-                                                        records_by_id)
+        counts = sorted({len(r.actions) for r in records_by_id.values()})
+        report["action_groups"] = {
+            **{str(n): stats(accuracies(lambda r: len(r.actions) == n))
+               for n in counts},
+            "All": report["overall_accuracy"],
+        }
     return report
-
-
-def _alignment_section(by_repeat, records_by_id):
-    high_ids = sorted(i for i, r in records_by_id.items()
-                      if r.alignment == "high")
-    low_ids = sorted(i for i, r in records_by_id.items()
-                     if r.alignment == "low")
-    if not high_ids or not low_ids:
-        return None
-    high = _per_repeat_accuracy(by_repeat, records_by_id, high_ids)
-    low = _per_repeat_accuracy(by_repeat, records_by_id, low_ids)
-    averages = [average_accuracy(h, l) for h, l in zip(high, low)]
-    biases = [bias_score(h, l) for h, l in zip(high, low)]
-    bias = repeat_stats(biases)
-    return {
-        "high": asdict(repeat_stats(high)),
-        "low": asdict(repeat_stats(low)),
-        "average": asdict(repeat_stats(averages)),
-        "bias": {**asdict(bias), "absolute_mean": abs(bias.mean)},
-    }
-
-
-def _per_attribute_section(by_repeat, records_by_id):
-    attributes = sorted({r.dma for r in records_by_id.values()})
-    section = {}
-    for attribute in attributes:
-        row = {}
-        for side in ("high", "low"):
-            ids = sorted(
-                i for i, r in records_by_id.items()
-                if r.dma == attribute and r.alignment == side
-            )
-            if ids:
-                row[side] = asdict(repeat_stats(
-                    _per_repeat_accuracy(by_repeat, records_by_id, ids)
-                ))
-        section[attribute] = row
-    return section
-
-
-def _action_group_section(by_repeat, records_by_id):
-    counts = sorted({len(r.actions) for r in records_by_id.values()})
-    section = {}
-    for count in counts:
-        ids = sorted(i for i, r in records_by_id.items()
-                     if len(r.actions) == count)
-        section[str(count)] = asdict(repeat_stats(
-            _per_repeat_accuracy(by_repeat, records_by_id, ids)
-        ))
-    section["All"] = asdict(repeat_stats(
-        _per_repeat_accuracy(by_repeat, records_by_id, sorted(records_by_id))
-    ))
-    return section
 
 
 def sweep_report(settings, records, kind: str) -> dict:
@@ -259,84 +219,70 @@ def _stats_cells(stats: dict) -> str:
     return f"{value} ± {format_2dp(stats['std'])}"
 
 
+def _table(header, rows) -> list[str]:
+    """A markdown table, one '| a | b |' line per row, then a blank line."""
+    return ["| " + " | ".join(map(str, cells)) + " |"
+            for cells in (header, ["---"] * len(header), *rows)] + [""]
+
+
 def render_markdown(report: dict) -> str:
     """Human-readable report; all numbers at two decimals, half-up."""
-    lines = ["# Evaluation report", ""]
-    lines.append(f"- Mode: `{report['mode']}`")
-    lines.append(f"- Dataset kind: `{report['dataset_kind']}`")
-    lines.append(
+    lines = [
+        "# Evaluation report",
+        "",
+        f"- Mode: `{report['mode']}`",
+        f"- Dataset kind: `{report['dataset_kind']}`",
         f"- Problems: {report['n_problems']} "
         f"(repeats: {len(report['repeats'])}, "
-        f"predictions: {report['n_predictions']})"
-    )
-    lines.append(
-        f"- Abstentions: {report['abstentions']} of {report['n_predictions']}"
-    )
-    lines.append("")
-    overall = report["overall_accuracy"]
-    lines.append(f"Overall accuracy: **{_stats_cells(overall)}**")
-    lines.append("")
+        f"predictions: {report['n_predictions']})",
+        f"- Abstentions: {report['abstentions']} of {report['n_predictions']}",
+        "",
+        f"Overall accuracy: **{_stats_cells(report['overall_accuracy'])}**",
+        "",
+    ]
 
-    if report["dataset_kind"] == "mta" and report.get("alignment"):
-        alignment = report["alignment"]
-        lines.append("## Directive-alignment accuracy")
-        lines.append("")
-        lines.append("| Group | High-acc | Low-acc | Avg-acc | Bias | Abs bias |")
-        lines.append("| --- | --- | --- | --- | --- | --- |")
-        lines.append(
-            "| All | {high} | {low} | {avg} | {bias} | {abs_bias} |".format(
-                high=_stats_cells(alignment["high"]),
-                low=_stats_cells(alignment["low"]),
-                avg=_stats_cells(alignment["average"]),
-                bias=format_2dp(alignment["bias"]["mean"]),
-                abs_bias=format_2dp(alignment["bias"]["absolute_mean"]),
-            )
-        )
+    alignment = report.get("alignment")
+    if report["dataset_kind"] == "mta" and alignment:
+        bias = alignment["bias"]
+        rows = [["All", _stats_cells(alignment["high"]),
+                 _stats_cells(alignment["low"]),
+                 _stats_cells(alignment["average"]),
+                 format_2dp(bias["mean"]), format_2dp(bias["absolute_mean"])]]
         for attribute, row in report["per_attribute"].items():
-            high = _stats_cells(row["high"]) if "high" in row else "-"
-            low = _stats_cells(row["low"]) if "low" in row else "-"
+            cells = [_stats_cells(row[side]) if side in row else "-"
+                     for side in ("high", "low")]
             if "high" in row and "low" in row:
-                high_mean, low_mean = row["high"]["mean"], row["low"]["mean"]
-                avg = format_2dp(average_accuracy(high_mean, low_mean))
-                gap = bias_score(high_mean, low_mean)
-                bias = format_2dp(gap)
-                abs_bias = format_2dp(abs(gap))
+                high, low = row["high"]["mean"], row["low"]["mean"]
+                gap = bias_score(high, low)
+                cells += map(format_2dp,
+                             (average_accuracy(high, low), gap, abs(gap)))
             else:
-                avg = bias = abs_bias = "-"
-            lines.append(
-                f"| {attribute} | {high} | {low} | {avg} | {bias} | {abs_bias} |"
-            )
-        lines.append("")
+                cells += ["-"] * 3
+            rows.append([attribute, *cells])
+        lines += ["## Directive-alignment accuracy", ""]
+        lines += _table(["Group", "High-acc", "Low-acc", "Avg-acc", "Bias",
+                         "Abs bias"], rows)
 
     if report["dataset_kind"] == "dellma":
         groups = report["action_groups"]
-        lines.append("## Accuracy by number of actions")
-        lines.append("")
         headers = [k for k in groups if k != "All"] + ["All"]
-        lines.append("| The Number of Actions | " + " | ".join(headers) + " |")
-        lines.append("| --- |" + " --- |" * len(headers))
-        lines.append(
-            "| Accuracy | "
-            + " | ".join(_stats_cells(groups[h]) for h in headers)
-            + " |"
-        )
-        lines.append("")
+        lines += ["## Accuracy by number of actions", ""]
+        lines += _table(["The Number of Actions", *headers],
+                        [["Accuracy", *(_stats_cells(groups[h])
+                                        for h in headers)]])
     return "\n".join(lines)
 
 
 def render_sweep_markdown(report: dict) -> str:
-    lines = ["# Filter sweep", ""]
-    lines.append(f"- Dataset kind: `{report['dataset_kind']}`")
-    lines.append("")
-    lines.append("| Setting | Accuracy | Surviving cells |")
-    lines.append("| --- | --- | --- |")
-    for row in report["settings"]:
-        lines.append(
-            f"| {row['label']} | {format_2dp(row['accuracy'])} | "
-            f"{row['surviving_cells']} |"
-        )
-    lines.append("")
-    return "\n".join(lines)
+    rows = [[row["label"], format_2dp(row["accuracy"]),
+             row["surviving_cells"]] for row in report["settings"]]
+    return "\n".join([
+        "# Filter sweep",
+        "",
+        f"- Dataset kind: `{report['dataset_kind']}`",
+        "",
+        *_table(["Setting", "Accuracy", "Surviving cells"], rows),
+    ])
 
 
 def write_report(report: dict, directory):

@@ -53,7 +53,8 @@ PLACEHOLDER_RE = re.compile(r"\{([a-z][a-z0-9_]*)\}")
 # string, group 2 the body of a closed single-quoted one
 STRING = r"""("[^"\\]*(?:\\.[^"\\]*)*"|'([^'\\]*(?:\\.[^'\\]*)*)'|["'].*)"""
 WALK_RE = re.compile(STRING + "|[{}]", re.S)
-# in a single-quoted body: an escape, kept as it is, or a double quote
+# in a single-quoted body: an escape (\' becomes ', any other stays as it
+# is) or a double quote
 BODY_QUOTE_RE = re.compile(r'(\\.)|"', re.S)
 
 
@@ -123,11 +124,12 @@ def _first_balanced_object(text: str) -> str | None:
 
 
 def _double_quoted(match: re.Match) -> str:
-    """A closed single-quoted string as a double-quoted one; any other
-    string as it stands."""
+    """A closed single-quoted string as a double-quoted one, its \\' as a
+    plain '; any other string as it stands."""
     if match[2] is None:
         return match[1]
-    return '"' + BODY_QUOTE_RE.sub(lambda m: m[1] or '\\"', match[2]) + '"'
+    return '"' + BODY_QUOTE_RE.sub(
+        lambda m: "'" if m[1] == "\\'" else m[1] or '\\"', match[2]) + '"'
 
 
 # (note, pattern, replacement): each pattern matches a string first and puts

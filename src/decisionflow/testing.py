@@ -16,7 +16,7 @@ import re
 
 from .gateway import BackendReply, CompletionRequest, count_tokens
 
-_CHOICE_LINE_RE = re.compile(r"^\((\d+)\)\s+(.*)$", re.MULTILINE)
+_CHOICE_LINE_RE = re.compile(r"^\(\d+\)\s+.*$", re.MULTILINE)
 _ACTION_LINE_RE = re.compile(r'^Action:\s*"(.*)"\s*$', re.MULTILINE)
 _ATTRIBUTE_LINE_RE = re.compile(r'^Attribute:\s*"(.*)"\s*$', re.MULTILINE)
 
@@ -66,14 +66,6 @@ def _bullet_block(prompt: str, header: str) -> list[str]:
         else:
             break
     return items
-
-
-def _numbered_choices(prompt: str) -> tuple[list[str], int]:
-    matches = _CHOICE_LINE_RE.findall(prompt)
-    if not matches:
-        return [], 1
-    base = int(matches[0][0])
-    return [label for _, label in matches], base
 
 
 def _cells_from_prompt(prompt: str) -> list[dict]:
@@ -164,9 +156,8 @@ def default_stage_script(request: CompletionRequest) -> str:
         return RATIONALE_TEXT
 
     if tag in ("zero_shot", "cot", "self_consistency", "joint"):
-        labels, base = _numbered_choices(prompt)
-        n = max(len(labels), 1)
-        answer = base + _digest_int(prompt, str(request.attempt)) % n
+        n = max(len(_CHOICE_LINE_RE.findall(prompt)), 1)
+        answer = 1 + _digest_int(prompt, str(request.attempt)) % n
         if tag == "zero_shot" or tag == "self_consistency":
             return json.dumps({"Answer": answer})
         reasoning = (

@@ -5,6 +5,7 @@ from __future__ import annotations
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 from decisionflow.datasets import load_dataset, problems_from_records
 from decisionflow.gateway import GatewayConfig, LlmGateway
@@ -16,6 +17,11 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 DATASET_DIR = REPO_ROOT / "fixtures" / "datasets"
 CORPUS_DIR = REPO_ROOT / "fixtures" / "transcripts"
 CONFIG_DIR = REPO_ROOT / "fixtures" / "configs"
+
+# every property test draws the same examples on every run; a test's own
+# @settings still sets what it names
+settings.register_profile("reproducible", derandomize=True, database=None)
+settings.load_profile("reproducible")
 
 
 @pytest.fixture(scope="session")

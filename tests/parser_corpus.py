@@ -102,7 +102,9 @@ CASES = [
          check=lambda out: out == (r'{"Answer": "say \"hi\""}',
                                    ["converted single quotes to double quotes"])),
     Case("block_single_quoted_escaped_single_quote",
-         _block(r"{'Answer': 'it\'s'}"), error=OutputParseError),
+         _block(r"{'Answer': 'it\'s'}"),
+         check=lambda out: out == ('{"Answer": "it\'s"}',
+                                   ["converted single quotes to double quotes"])),
     Case("block_single_quoted_double_quote",
          _block("""{'Answer': 'the "best" one'}"""),
          check=lambda out: out == (r'{"Answer": "the \"best\" one"}',

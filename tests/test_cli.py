@@ -1509,14 +1509,19 @@ CONFIG_DIGESTS = {
 }
 
 REPORT_SHA256 = {
-    ("mta_decisionflow", "report.json"):
+    ("mta_decisionflow", 1, "report.json"):
         "77bc117912047499ae70457b0da53dd3793a9a8a06b505db8c02026eb91b7250",
-    ("mta_decisionflow", "report.md"):
+    ("mta_decisionflow", 1, "report.md"):
         "adaf71d048a83cc08e7a7d4bb4b8e3e0ec6e7c00492a5053b7d6feb87d627d3a",
-    ("dellma_decisionflow", "report.json"):
+    ("dellma_decisionflow", 1, "report.json"):
         "8bba5ac72c82b9d59dac718cb8c988f20d6093bdd8c64caac8eb2b4ef05fc292",
-    ("dellma_decisionflow", "report.md"):
+    ("dellma_decisionflow", 1, "report.md"):
         "dc364f8aa5c18e447b1bbc7ec7a75247c1048d8a52a85be7e427e1f82c6068fe",
+    # two repeats: every figure is "mean ± std"
+    ("mta_decisionflow", 2, "report.json"):
+        "12065051bc31db134c1639a7af58f8df7b33bf9ff8a350e1c22d3a3ff3acff9a",
+    ("mta_decisionflow", 2, "report.md"):
+        "a2d284314e0a1816454b273343f00a4a1d9fd673b160ae3c3c1bca4a15e5803c",
 }
 
 
@@ -1530,17 +1535,20 @@ class TestFrozenOutputs:
             digests[config.name] = cli.config_digest(cli.resolve_config(args))
         assert digests == CONFIG_DIGESTS
 
-    @pytest.mark.parametrize("name,dataset,kind", [
-        ("mta_decisionflow", "mta_small", "mta"),
-        ("dellma_decisionflow", "dellma_small", "dellma"),
-    ])
+    @pytest.mark.parametrize("name,dataset,kind,repeats", [
+        ("mta_decisionflow", "mta_small", "mta", 1),
+        ("dellma_decisionflow", "dellma_small", "dellma", 1),
+        ("mta_decisionflow", "mta_small", "mta", 2),
+    ], ids=["mta_decisionflow-mta_small-mta",
+            "dellma_decisionflow-dellma_small-dellma",
+            "mta_decisionflow-mta_small-mta-2_repeats"])
     def test_eval_report_bytes(self, tmp_path, monkeypatch, name, dataset,
-                               kind):
+                               kind, repeats):
         monkeypatch.chdir(REPO_ROOT)
         out = tmp_path / name
         assert cli.main(["run", "--config",
                          str(CONFIG_DIR / f"replay_{name}.json"),
-                         "--out", str(out)]) == 0
+                         "--repeats", str(repeats), "--out", str(out)]) == 0
         assert cli.main([
             "eval", "--predictions", str(out / "predictions.jsonl"),
             "--dataset", str(DATASET_DIR / f"{dataset}.jsonl"),
@@ -1548,7 +1556,7 @@ class TestFrozenOutputs:
         ]) == 0
         for report in ("report.json", "report.md"):
             digest = hashlib.sha256((out / report).read_bytes()).hexdigest()
-            assert digest == REPORT_SHA256[name, report], report
+            assert digest == REPORT_SHA256[name, repeats, report], report
 
 
 class TestParserBehavior:

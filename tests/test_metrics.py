@@ -4,11 +4,16 @@ from __future__ import annotations
 
 import json
 import math
+import random
+from dataclasses import asdict
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from decisionflow.datasets import MtaRecord, PredictionRow
+from decisionflow import metrics
+from decisionflow.datasets import DellmaRecord, MtaRecord, PredictionRow
 from decisionflow.metrics import (
     accuracy_percent,
     average_accuracy,
@@ -292,3 +297,257 @@ class TestRendering:
         assert payload["overall_accuracy"]["mean"] == 62.5
         text = md_path.read_text(encoding="utf-8")
         assert text == render_markdown(report)
+
+
+# evaluate and the renderers frozen as they were before every figure came
+# from one per-group rule; the property test below holds the current code
+# to them, report and markdown alike.
+
+def old_is_correct(prediction, gold):
+    return prediction.answer is not None and prediction.answer == gold
+
+
+def old_per_repeat_accuracy(by_repeat, records_by_id, ids):
+    ids = list(ids)
+    return [
+        accuracy_percent(
+            old_is_correct(bucket[i], records_by_id[i].gold) for i in ids
+        )
+        for bucket in by_repeat.values()
+    ]
+
+
+def old_evaluate(predictions, records, kind):
+    records_by_id = {r.record_id: r for r in records}
+    mode, by_repeat = metrics._group_predictions(predictions, records_by_id)
+    repeats = list(by_repeat)
+    all_ids = sorted(records_by_id)
+
+    overall = repeat_stats(old_per_repeat_accuracy(by_repeat, records_by_id,
+                                                   all_ids))
+    abstentions = sum(
+        1 for bucket in by_repeat.values()
+        for p in bucket.values() if p.answer is None
+    )
+    report = {
+        "mode": mode,
+        "dataset_kind": kind,
+        "n_problems": len(records_by_id),
+        "repeats": repeats,
+        "n_predictions": sum(len(b) for b in by_repeat.values()),
+        "abstentions": abstentions,
+        "overall_accuracy": asdict(overall),
+    }
+    if kind == "mta":
+        report["alignment"] = old_alignment_section(by_repeat, records_by_id)
+        report["per_attribute"] = old_per_attribute_section(by_repeat,
+                                                            records_by_id)
+    else:
+        report["action_groups"] = old_action_group_section(by_repeat,
+                                                           records_by_id)
+    return report
+
+
+def old_alignment_section(by_repeat, records_by_id):
+    high_ids = sorted(i for i, r in records_by_id.items()
+                      if r.alignment == "high")
+    low_ids = sorted(i for i, r in records_by_id.items()
+                     if r.alignment == "low")
+    if not high_ids or not low_ids:
+        return None
+    high = old_per_repeat_accuracy(by_repeat, records_by_id, high_ids)
+    low = old_per_repeat_accuracy(by_repeat, records_by_id, low_ids)
+    averages = [average_accuracy(h, l) for h, l in zip(high, low)]
+    biases = [bias_score(h, l) for h, l in zip(high, low)]
+    bias = repeat_stats(biases)
+    return {
+        "high": asdict(repeat_stats(high)),
+        "low": asdict(repeat_stats(low)),
+        "average": asdict(repeat_stats(averages)),
+        "bias": {**asdict(bias), "absolute_mean": abs(bias.mean)},
+    }
+
+
+def old_per_attribute_section(by_repeat, records_by_id):
+    attributes = sorted({r.dma for r in records_by_id.values()})
+    section = {}
+    for attribute in attributes:
+        row = {}
+        for side in ("high", "low"):
+            ids = sorted(
+                i for i, r in records_by_id.items()
+                if r.dma == attribute and r.alignment == side
+            )
+            if ids:
+                row[side] = asdict(repeat_stats(
+                    old_per_repeat_accuracy(by_repeat, records_by_id, ids)
+                ))
+        section[attribute] = row
+    return section
+
+
+def old_action_group_section(by_repeat, records_by_id):
+    counts = sorted({len(r.actions) for r in records_by_id.values()})
+    section = {}
+    for count in counts:
+        ids = sorted(i for i, r in records_by_id.items()
+                     if len(r.actions) == count)
+        section[str(count)] = asdict(repeat_stats(
+            old_per_repeat_accuracy(by_repeat, records_by_id, ids)
+        ))
+    section["All"] = asdict(repeat_stats(
+        old_per_repeat_accuracy(by_repeat, records_by_id, sorted(records_by_id))
+    ))
+    return section
+
+
+def old_stats_cells(stats):
+    value = format_2dp(stats["mean"])
+    if stats.get("single_repeat"):
+        return value
+    return f"{value} ± {format_2dp(stats['std'])}"
+
+
+def old_render_markdown(report):
+    lines = ["# Evaluation report", ""]
+    lines.append(f"- Mode: `{report['mode']}`")
+    lines.append(f"- Dataset kind: `{report['dataset_kind']}`")
+    lines.append(
+        f"- Problems: {report['n_problems']} "
+        f"(repeats: {len(report['repeats'])}, "
+        f"predictions: {report['n_predictions']})"
+    )
+    lines.append(
+        f"- Abstentions: {report['abstentions']} of {report['n_predictions']}"
+    )
+    lines.append("")
+    overall = report["overall_accuracy"]
+    lines.append(f"Overall accuracy: **{old_stats_cells(overall)}**")
+    lines.append("")
+
+    if report["dataset_kind"] == "mta" and report.get("alignment"):
+        alignment = report["alignment"]
+        lines.append("## Directive-alignment accuracy")
+        lines.append("")
+        lines.append("| Group | High-acc | Low-acc | Avg-acc | Bias | Abs bias |")
+        lines.append("| --- | --- | --- | --- | --- | --- |")
+        lines.append(
+            "| All | {high} | {low} | {avg} | {bias} | {abs_bias} |".format(
+                high=old_stats_cells(alignment["high"]),
+                low=old_stats_cells(alignment["low"]),
+                avg=old_stats_cells(alignment["average"]),
+                bias=format_2dp(alignment["bias"]["mean"]),
+                abs_bias=format_2dp(alignment["bias"]["absolute_mean"]),
+            )
+        )
+        for attribute, row in report["per_attribute"].items():
+            high = old_stats_cells(row["high"]) if "high" in row else "-"
+            low = old_stats_cells(row["low"]) if "low" in row else "-"
+            if "high" in row and "low" in row:
+                high_mean, low_mean = row["high"]["mean"], row["low"]["mean"]
+                avg = format_2dp(average_accuracy(high_mean, low_mean))
+                gap = bias_score(high_mean, low_mean)
+                bias = format_2dp(gap)
+                abs_bias = format_2dp(abs(gap))
+            else:
+                avg = bias = abs_bias = "-"
+            lines.append(
+                f"| {attribute} | {high} | {low} | {avg} | {bias} | {abs_bias} |"
+            )
+        lines.append("")
+
+    if report["dataset_kind"] == "dellma":
+        groups = report["action_groups"]
+        lines.append("## Accuracy by number of actions")
+        lines.append("")
+        headers = [k for k in groups if k != "All"] + ["All"]
+        lines.append("| The Number of Actions | " + " | ".join(headers) + " |")
+        lines.append("| --- |" + " --- |" * len(headers))
+        lines.append(
+            "| Accuracy | "
+            + " | ".join(old_stats_cells(groups[h]) for h in headers)
+            + " |"
+        )
+        lines.append("")
+    return "\n".join(lines)
+
+
+def old_render_sweep_markdown(report):
+    lines = ["# Filter sweep", ""]
+    lines.append(f"- Dataset kind: `{report['dataset_kind']}`")
+    lines.append("")
+    lines.append("| Setting | Accuracy | Surviving cells |")
+    lines.append("| --- | --- | --- |")
+    for row in report["settings"]:
+        lines.append(
+            f"| {row['label']} | {format_2dp(row['accuracy'])} | "
+            f"{row['surviving_cells']} |"
+        )
+    lines.append("")
+    return "\n".join(lines)
+
+
+DMAS = ("fairness", "risk_aversion", "moral_desert")
+
+
+@st.composite
+def scored_datasets(draw):
+    """Records of either kind, 1-3 repeats with gaps in their numbers, and
+    predictions of which about a fifth abstain. MTA sets may hold one
+    alignment side only, and a DMA may appear on one side only. Hypothesis
+    draws the kind, the sides and a seed for the rest, which keeps 2,000
+    examples quick to draw."""
+    kind = draw(st.sampled_from(["mta", "dellma"]))
+    sides = draw(st.sampled_from([("high", "low"), ("high", "low"),
+                                  ("high",), ("low",)]))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    repeats = rng.sample(range(6), rng.randint(1, 3))
+    records = []
+    for i in range(rng.randint(1, 14)):
+        labels = tuple(f"option {j}" for j in range(rng.randint(2, 7)))
+        gold = rng.randrange(len(labels))
+        if kind == "mta":
+            records.append(MtaRecord(
+                record_id=f"mta-{i}", scenario="A ward scenario.",
+                choices=labels, dma=rng.choice(DMAS),
+                alignment=rng.choice(sides),
+                bias_text="Weigh the attribute.", gold=gold))
+        else:
+            records.append(DellmaRecord(
+                record_id=f"dellma-{i}", domain="stocks",
+                context="A market.", actions=labels, gold=gold))
+    predictions = []
+    for repeat in repeats:
+        for record in records:
+            n = len(getattr(record, "choices", None) or record.actions)
+            answer = rng.choice([record.gold, rng.randrange(n)])
+            predictions.append(_pred(record.record_id, repeat,
+                                     None if rng.random() < 0.2 else answer))
+    rng.shuffle(predictions)
+    sweep = [SimpleNamespace(
+        label=f"epsilon={k / 10}", surviving_cells=k,
+        answers={r.record_id: rng.randrange(2) for r in records})
+        for k in range(rng.randrange(4))]
+    return kind, records, predictions, sweep
+
+
+class TestOneRulePerFigure:
+    """evaluate and the renderers against the section builders and
+    line-by-line tables they replaced."""
+
+    @settings(derandomize=True, max_examples=2000, deadline=None)
+    @given(scored_datasets())
+    def test_reports_and_markdown_match(self, case):
+        kind, records, predictions, sweep = case
+        report = evaluate(predictions, records, kind)
+        old = old_evaluate(predictions, records, kind)
+        assert report == old
+        assert list(report) == list(old)
+        for section in ("per_attribute", "action_groups"):
+            if section in old:
+                assert list(report[section]) == list(old[section])
+                assert [list(row) for row in report[section].values()] == \
+                    [list(row) for row in old[section].values()]
+        assert render_markdown(report) == old_render_markdown(old)
+        swept = sweep_report(sweep, records, kind)
+        assert render_sweep_markdown(swept) == old_render_sweep_markdown(swept)

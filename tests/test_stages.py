@@ -507,6 +507,8 @@ def old_single_to_double_quotes(text):
         if in_string:
             if escaped:
                 escaped = False
+                if ch == "'" and quote == "'":
+                    out.pop()  # JSON has no \' escape
                 out.append(ch)
             elif ch == "\\":
                 escaped = True
