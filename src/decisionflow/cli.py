@@ -41,15 +41,14 @@ from .metrics import (
     write_report,
 )
 from .pipeline import (
-    ABSTENTIONS,
     FILTER_TARGETS,
     MODES,
     STRUCTURED_MODES,
     ExperimentContext,
     PipelineConfig,
+    execute_run,
     kernel_sweep,
     run_experiment,
-    run_problem,
 )
 from .stages import load_templates
 
@@ -358,16 +357,14 @@ def cmd_replay_verify(args) -> int:
     _, problems = _load_problems(resolved)
     ctx = build_context(resolved)
     missing = 0
-    for problem in problems:
+    for problem in problems:  # an abstention is a record: coverage is the check
         for repeat in range(resolved["repeats"]):
             try:
-                run_problem(problem, ctx, repeat)
+                execute_run(problem, ctx, repeat)
             except ReplayMissError as err:
                 missing += 1
                 print(f"missing transcript for {problem.problem_id} repeat "
                       f"{repeat}: {err.digest}", file=sys.stderr)
-            except ABSTENTIONS:
-                pass  # abstentions are fine; coverage is what matters
     if missing:
         return EXIT_FATAL
     print(f"replay coverage complete for {len(problems)} problems "

@@ -1,8 +1,9 @@
 """Exception taxonomy shared across the package.
 
 Stage-output errors and InfeasibleError mark a single run as an abstention
-when caught by the experiment runner (``pipeline.ABSTENTIONS``); gateway and
-dataset errors are fatal for the whole run.
+when caught by the experiment runner (``pipeline.ABSTENTIONS``), whose own
+list already holds the run's trace up to the failure; gateway and dataset
+errors are fatal for the whole run.
 """
 
 from __future__ import annotations
@@ -31,8 +32,8 @@ class TemplateError(DecisionFlowError):
 
 class StageOutputError(DecisionFlowError):
     """Base for failures while interpreting a model completion. It holds only
-    its message: the completion it rejects ends the run's trace, which
-    ``pipeline.run_problem`` hangs on it as ``trace``."""
+    its message: the completion it rejects ends the run's trace, in the list
+    that the caller gave ``pipeline.run_problem``."""
 
 
 class OutputParseError(StageOutputError):

@@ -23,6 +23,7 @@ from operator import attrgetter, itemgetter
 from pathlib import Path
 from urllib.parse import urlsplit
 
+from .core import finite_float
 from .datasets import write_json
 from .errors import BackendError, ReplayMissError, TranscriptCorruptError, TransportError
 
@@ -268,7 +269,9 @@ class HttpTransport:
         text = _extract_text(body) if isinstance(body, dict) else None
         if text is None:
             raise BackendError("no completion text in backend reply", payload=body_text)
-        usage = body.get("usage") or {}
+        usage = body.get("usage")
+        if not isinstance(usage, dict):  # absent or not an object: approximate
+            usage = {}
         return BackendReply(
             text=text,
             prompt_tokens=_usage_int(usage, "prompt_tokens"),
@@ -424,22 +427,28 @@ def completion_from_entry(entry: dict, request: CompletionRequest,
                           store: TranscriptStore) -> Completion:
     """The completion ``entry`` holds for ``request``; TranscriptCorruptError
     naming its file in ``store`` when its request differs on a digest field
-    or its response, usage or latency is missing or mistyped."""
+    or its response, usage or latency is missing or mistyped. The token
+    counts and ``attempts`` must be ints and ``approximate`` a bool (each of
+    the last two defaults when absent), the latency a finite number."""
     try:
         if _stored_fields(entry["request"]) != _request_fields(request):
             raise ValueError(f"its request is not {request.digest}")
-        text = entry["response"]["text"]
-        if not isinstance(text, str):
-            raise TypeError(f"response text is {type(text).__name__}")
-        usage = entry["usage"]
-        return Completion(
-            text=text,
-            prompt_tokens=usage["prompt_tokens"],
-            response_tokens=usage["response_tokens"],
-            latency=entry["latency"],
-            usage_approximate=usage.get("approximate", False),
-            attempts=entry.get("attempts", 1),
-        )
+        text, latency, usage = (entry["response"]["text"], entry["latency"],
+                                entry["usage"])
+        prompt_tokens, response_tokens = usage["prompt_tokens"], usage["response_tokens"]
+        approximate, attempts = usage.get("approximate", False), entry.get("attempts", 1)
+        # type() is exact, so a bool is no int; straight-line, as every read runs it
+        if type(text) is not str:
+            raise TypeError(f"response text is {text!r}")
+        if not type(prompt_tokens) is type(response_tokens) is type(attempts) is int:
+            raise TypeError("token counts and attempts must be ints, not "
+                            f"{prompt_tokens!r}, {response_tokens!r}, {attempts!r}")
+        if type(approximate) is not bool:
+            raise TypeError(f"approximate is {approximate!r}")
+        if finite_float(latency) is None:
+            raise TypeError(f"latency is {latency!r}")
+        return Completion(text, prompt_tokens, response_tokens, latency,
+                          approximate, attempts)
     except (KeyError, TypeError, ValueError) as err:
         raise TranscriptCorruptError(
             f"transcript {store.path_for(request.digest)} is corrupt: {err!r}") from err

@@ -122,18 +122,19 @@ def _event(stage, kind, name, payload):
     return {"stage": stage, "kind": kind, "name": name, "payload": payload}
 
 
-def _request(ctx, stage_tag, prompt, *, model=None, temperature=None,
-             attempt=0) -> CompletionRequest:
-    """A request at the configured max_tokens; the model defaults to the
-    reasoning model and the temperature to the deterministic one."""
+def _request(ctx, tag, values, *, template=None, model=None,
+             temperature=None, attempt=0) -> CompletionRequest:
+    """A request tagged ``tag``: the template named ``template`` (default:
+    the tag) filled with ``values``, at the configured max_tokens, the
+    reasoning model and the deterministic temperature unless given."""
     cfg = ctx.config
     return CompletionRequest(
         model=cfg.reasoning_model if model is None else model,
-        prompt=prompt,
+        prompt=render_stage_prompt(ctx.templates[template or tag], values),
         temperature=(cfg.temperature_deterministic if temperature is None
                      else temperature),
         max_tokens=cfg.max_tokens,
-        stage_tag=stage_tag,
+        stage_tag=tag,
         attempt=attempt,
     )
 
@@ -306,16 +307,13 @@ def _fork_map(fn, items, ctx, interrupt):
             os.waitpid(pid, 0)
 
 
-def _call(ctx, trace, stage, name, request):
+def _ask(ctx, trace, stage, tag, values, *, name=None, **options):
+    """One call of ``_request(ctx, tag, values, **options)``, recorded in
+    ``trace`` under ``name`` (default: the tag)."""
+    request = _request(ctx, tag, values, **options)
     completion = ctx.gateway.complete(request)
-    _record_call(trace, stage, name, request, completion)
+    _record_call(trace, stage, name or tag, request, completion)
     return completion
-
-
-def _ask(ctx, trace, stage, tag, values, *, model=None):
-    """One call of the template named ``tag``, recorded under that name."""
-    prompt = render_stage_prompt(ctx.templates[tag], values)
-    return _call(ctx, trace, stage, tag, _request(ctx, tag, prompt, model=model))
 
 
 def _bullets(items) -> str:
@@ -371,29 +369,25 @@ def render_objective(problem, attributes, coefficients) -> dict:
 
 
 def run_problem(problem: DecisionProblem, ctx: ExperimentContext,
-                repeat: int = 0) -> DecisionOutcome:
+                repeat: int = 0, trace: list[dict] | None = None,
+                ) -> DecisionOutcome:
     """Run one problem in the configured mode.
 
-    The trace opens with the S0 run note; a stage failure carries the partial
-    trace on its ``trace`` attribute.
+    The run's events go to ``trace``, the caller's list when given: the S0
+    run note first, then each stage's. When a stage fails, the events up to
+    the failure are in that list and the error carries none of them.
     """
     mode = ctx.config.mode
     structured, options = MODES[mode]
-    trace: list[dict] = [
-        _event("S0", "note", "run", {
-            "problem_id": problem.problem_id,
-            "mode": mode,
-            "repeat": repeat,
-            "n_actions": problem.n_actions,
-        })
-    ]
-    try:
-        if structured:
-            return run_structured(problem, ctx, trace, **options)
-        return _run_direct(problem, ctx, trace, repeat, **options)
-    except ABSTENTIONS as err:
-        err.trace = tuple(trace)
-        raise
+    trace = [] if trace is None else trace
+    trace.append(_event("S0", "note", "run", {
+        "problem_id": problem.problem_id, "mode": mode, "repeat": repeat,
+        "n_actions": problem.n_actions}))
+    if structured:
+        answer, utilities = run_structured(problem, ctx, trace, **options)
+    else:
+        answer, utilities = _run_direct(problem, ctx, trace, repeat, **options)
+    return DecisionOutcome(answer, utilities, tuple(trace))
 
 
 def _solve(grounded, weights: WeightMatrix, policy: FilterPolicy,
@@ -412,8 +406,9 @@ def _solve(grounded, weights: WeightMatrix, policy: FilterPolicy,
 def run_structured(problem: DecisionProblem, ctx: ExperimentContext,
                    trace: list[dict], *, policy: FilterPolicy | None = None,
                    all_ones: bool = False, with_rationale: bool = True,
-                   ) -> DecisionOutcome:
-    """The four-step structured pipeline, appending its events to ``trace``.
+                   ) -> tuple[int, tuple[float, ...]]:
+    """The four-step structured pipeline, appending its events to ``trace``;
+    returns the answer and the utilities.
 
     policy/all_ones implement the ablations; with_rationale=False skips the
     final explanation call (tool-assisted reasoning mode). Deterministic
@@ -509,9 +504,7 @@ def run_structured(problem: DecisionProblem, ctx: ExperimentContext,
 
     if with_rationale:
         _rationale_call(problem, ctx, table, sol, trace, values)
-
-    return DecisionOutcome(answer=sol.answer, utilities=sol.utilities,
-                           trace=tuple(trace))
+    return sol.answer, sol.utilities
 
 
 def _grid_payload(entries):
@@ -527,15 +520,10 @@ def _weigh_cells(problem, ctx, table, trace, values) -> WeightMatrix:
     """
     n, m = table.shape
     cells = [(i, j) for i in range(n) for j in range(m)]
-    requests = [
-        _request(ctx, "weigh", render_stage_prompt(ctx.templates["weigh"], {
-            **values,
-            "action": problem.actions[i],
-            "attribute": table.attributes[j],
-            "verbal": table.cells[i][j],
-        }))
-        for (i, j) in cells
-    ]
+    requests = [_request(ctx, "weigh", {**values, "action": problem.actions[i],
+                                        "attribute": table.attributes[j],
+                                        "verbal": table.cells[i][j]})
+                for (i, j) in cells]
     completions = _map(ctx.gateway.complete, requests, ctx)
 
     rows = [[0.0] * m for _ in range(n)]
@@ -583,8 +571,9 @@ def _rationale_call(problem, ctx, table, sol, trace, values):
 
 def _run_direct(problem: DecisionProblem, ctx: ExperimentContext,
                 trace: list[dict], repeat: int, *,
-                sampled: bool = False) -> DecisionOutcome:
-    """Direct prompting over the numbered choices.
+                sampled: bool = False) -> tuple[int, tuple[float, ...]]:
+    """Direct prompting over the numbered choices; returns the answer and
+    the utilities.
 
     One completion of the template named after the mode answers (zero_shot,
     cot, joint), and any reasoning stays in that completion's text. With
@@ -596,28 +585,24 @@ def _run_direct(problem: DecisionProblem, ctx: ExperimentContext,
                       _prompt_values(problem))
     answer = parse_decision(completion.text, problem.n_actions)
     trace.append(_event("S4", "parsed", "answer", answer))
-    utilities = tuple(
-        1.0 if i == answer else 0.0 for i in range(problem.n_actions)
-    )
-    return DecisionOutcome(answer=answer, utilities=utilities,
-                           trace=tuple(trace))
+    return answer, tuple(1.0 if i == answer else 0.0
+                         for i in range(problem.n_actions))
 
 
-def _self_consistency(problem, ctx, trace, repeat) -> DecisionOutcome:
+def _self_consistency(problem, ctx, trace, repeat) -> tuple[int, tuple[float, ...]]:
     """k sampled votes on the zero_shot prompt at the sampling temperature;
     majority wins, ties go to the lowest action index, abstaining samples
     leave the denominator."""
     cfg = ctx.config
-    prompt = render_stage_prompt(ctx.templates["zero_shot"],
-                                 _prompt_values(problem))
+    values = _prompt_values(problem)
     k = cfg.self_consistency_k
     votes = [0.0] * problem.n_actions
     abstained = 0
     for s in range(k):
-        completion = _call(ctx, trace, "S4", f"sample[{s}]", _request(
-            ctx, "self_consistency", prompt,
-            temperature=cfg.temperature_sampling, attempt=repeat * k + s,
-        ))
+        completion = _ask(ctx, trace, "S4", "self_consistency", values,
+                          name=f"sample[{s}]", template="zero_shot",
+                          temperature=cfg.temperature_sampling,
+                          attempt=repeat * k + s)
         try:
             answer = parse_decision(completion.text, problem.n_actions)
         except StageOutputError as err:
@@ -632,8 +617,7 @@ def _self_consistency(problem, ctx, trace, repeat) -> DecisionOutcome:
     trace.append(_event("S4", "parsed", "votes", votes))
     answer = select_action(votes, frozenset(range(problem.n_actions)))
     trace.append(_event("S4", "parsed", "answer", answer))
-    return DecisionOutcome(answer=answer, utilities=tuple(votes),
-                           trace=tuple(trace))
+    return answer, tuple(votes)
 
 
 @dataclass(frozen=True)
@@ -680,13 +664,14 @@ def usage_totals(trace) -> tuple[int, int, int, float, bool]:
 
 def execute_run(problem: DecisionProblem, ctx: ExperimentContext,
                 repeat: int = 0) -> RunRecord:
-    """Run one problem; stage failures become abstention records."""
+    """Run one problem; stage failures become abstention records, whose
+    trace holds the events up to the failure."""
     started = time.perf_counter()
+    trace: list[dict] = []
     try:
-        outcome = run_problem(problem, ctx, repeat)
-        trace, answer, error = outcome.trace, outcome.answer, None
+        answer, error = run_problem(problem, ctx, repeat, trace).answer, None
     except ABSTENTIONS as err:
-        trace, answer, error = getattr(err, "trace", ()), None, type(err).__name__
+        answer, error = None, type(err).__name__
         log.info("run %s (%s, repeat %d) abstained: %s",
                  problem.problem_id, ctx.config.mode, repeat, err)
     wall = time.perf_counter() - started

@@ -378,6 +378,15 @@ def _negative_latency(entry):
     return entry
 
 
+def _mistyped(section, key, value):
+    """A tamper setting ``entry[section][key]``, or ``entry[key]`` when
+    ``section`` is None, to ``value``."""
+    def tamper(entry):
+        (entry if section is None else entry[section])[key] = value
+        return entry
+    return tamper
+
+
 class NoSendTransport:
     def send(self, request):
         raise AssertionError("a stored entry must not be sent again")
@@ -386,8 +395,17 @@ class NoSendTransport:
 @pytest.mark.parametrize("tamper", [
     _tamper_request, _drop_usage, _drop_response, _number_text,
     _negative_latency, lambda entry: None, lambda entry: [entry],
+    _mistyped("usage", "prompt_tokens", 12.5),
+    _mistyped("usage", "response_tokens", True),
+    _mistyped("usage", "approximate", "yes"),
+    _mistyped(None, "attempts", "three"),
+    _mistyped(None, "latency", True),
+    _mistyped(None, "latency", float("nan")),
+    _mistyped(None, "latency", float("inf")),
 ], ids=["tampered_request", "missing_usage", "missing_response",
-        "non_string_text", "negative_latency", "null", "array"])
+        "non_string_text", "negative_latency", "null", "array",
+        "float_token_count", "bool_token_count", "string_approximate",
+        "string_attempts", "bool_latency", "nan_latency", "infinite_latency"])
 def test_malformed_entry_is_rejected_where_it_is_read(tmp_path, capsys, tamper):
     store = TranscriptStore(tmp_path)
     store.write(REQ.digest, tamper(_entry_for(REQ, "ok")))
@@ -407,6 +425,16 @@ def test_malformed_entry_is_rejected_where_it_is_read(tmp_path, capsys, tamper):
 
     assert cli.main(["replay-verify", "--transcripts", str(tmp_path)]) == 1
     assert str(path) in capsys.readouterr().err
+
+
+def test_missing_attempts_and_approximate_take_their_defaults(tmp_path):
+    entry = _entry_for(REQ, "ok", latency=1)
+    del entry["attempts"], entry["usage"]["approximate"]
+    TranscriptStore(tmp_path).write(REQ.digest, entry)
+    gw = LlmGateway(GatewayConfig(mode="replay", transcript_dir=tmp_path))
+    completion = gw.complete(REQ)
+    assert (completion.attempts, completion.usage_approximate) == (1, False)
+    assert completion.latency == 1  # an int latency is a finite number
 
 
 @pytest.mark.parametrize("encoding", ["utf-16", "utf-8-sig", "latin-1"])
@@ -655,7 +683,8 @@ class TestHttpTransportStatuses:
     @pytest.mark.parametrize("body, text", [
         (b'{"choices": [{"text": "from choices"}]}', "from choices"),
         (b'{"text": "top level"}', "top level"),
-    ], ids=["choices_text", "top_level_text"])
+        (b'{"text": "t", "usage": [1, 2]}', "t"),
+    ], ids=["choices_text", "top_level_text", "usage_not_an_object"])
     def test_completion_text_fallbacks(self, status_server, body, text):
         handler, url = status_server
         handler.status, handler.body = 200, body

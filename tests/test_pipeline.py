@@ -43,6 +43,7 @@ from decisionflow.errors import (
     DecisionError,
     DecisionFlowError,
     ReplayMissError,
+    StageOutputError,
     TransportError,
 )
 from decisionflow.gateway import (
@@ -479,6 +480,48 @@ class TestRunner:
         assert record.error == "OutputParseError"
         assert record.llm_calls == 1
         assert record.prompt_tokens > 0
+
+    def test_unparseable_extraction_leaves_its_trace_in_the_callers_list(
+            self, ctx_factory, bomber_problem):
+        def refuse_extraction(request):
+            if request.stage_tag == "extract_info":
+                return REFUSAL_TEXT
+            return fixture_script(request)
+
+        ctx = ctx_factory("decisionflow", script=refuse_extraction)
+        trace = []
+        with pytest.raises(StageOutputError) as err:
+            run_problem(bomber_problem, ctx, 0, trace)
+        assert not hasattr(err.value, "trace")
+        assert [(e["kind"], e["name"]) for e in trace] == [
+            ("note", "run"), ("prompt", "extract_info"),
+            ("completion", "extract_info")]
+        assert trace[-1]["payload"]["text"] == REFUSAL_TEXT
+        assert execute_run(bomber_problem, ctx).trace == tuple(trace)
+
+    def test_unparseable_weigh_cell_at_c3_leaves_its_trace_in_the_callers_list(
+            self, ctx_factory, bomber_problem):
+        """Record mode at c=3 sends a run's weigh cells at once; the first
+        unparseable cell in row-major order ends the trace."""
+        line = f'Action: "{bomber_problem.actions[1]}"'
+
+        def refuse_second_row(request):
+            if request.stage_tag == "weigh" and line in request.prompt.splitlines():
+                return REFUSAL_TEXT
+            return fixture_script(request)
+
+        ctx = ctx_factory("decisionflow", script=refuse_second_row,
+                          max_concurrency=3)
+        trace = []
+        with ThreadPoolExecutor(max_workers=8) as pool, \
+                pytest.raises(StageOutputError) as err:
+            run_problem(bomber_problem, replace(ctx, pool=pool), 0, trace)
+        assert not hasattr(err.value, "trace")
+        assert (trace[-1]["kind"], trace[-1]["name"]) == ("completion",
+                                                          "weigh[1,0]")
+        assert trace[-1]["payload"]["text"] == REFUSAL_TEXT
+        [record] = run_experiment([bomber_problem], ctx)
+        assert record.abstained and record.trace == tuple(trace)
 
     def test_experiment_ordering_and_repeats(self, ctx_factory, mta_problems,
                                              monkeypatch):
